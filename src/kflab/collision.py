@@ -13,13 +13,19 @@ dealiased by zero-padded synthesis (3/2 rule), on by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .conventions import sphere_area
-from .grid import GridSpec, PhaseField, _check_same_grid
+from .grid import (
+    GridSpec,
+    PhaseField,
+    _check_same_grid,
+    _xi_to_v_inplace,
+    xi_phase_matrix,
+)
 
 __all__ = [
     "SphereQuadrature",
@@ -43,7 +49,6 @@ class SphereQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     kernel: np.ndarray | None = None
-    declared_order: int = field(default=1)
 
     @property
     def n_nodes(self) -> int:
@@ -80,7 +85,7 @@ def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
         theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         weights = np.full(n_nodes, 2.0 * np.pi / n_nodes)
-        return SphereQuadrature(2, nodes, weights, declared_order=n_nodes - 1)
+        return SphereQuadrature(2, nodes, weights)
     if d == 3:
         n_polar = max(2, int(round(np.sqrt(n_nodes / 2.0))))
         n_az = 2 * n_polar
@@ -96,7 +101,7 @@ def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
             axis=-1,
         )
         weights = np.outer(gl_w, np.full(n_az, 2.0 * np.pi / n_az)).ravel()
-        return SphereQuadrature(3, nodes, weights, declared_order=2 * n_polar - 1)
+        return SphereQuadrature(3, nodes, weights)
     raise ValueError(f"d must be 2 or 3, got {d}")
 
 
@@ -147,8 +152,10 @@ def _unflatten_xv(grid: GridSpec, cols: np.ndarray, m: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Phase-matrix cache.  The per-node evaluation matrices depend only on
-# (grid, quadrature); Picard and RK time loops reuse them thousands of
-# times.  One cache slot, skipped above a memory cap.
+# (grid, quadrature).  A Picard solve batches every time slice into one
+# gain call per sweep, so the cache saves one build per sweep; building
+# is cheap (xi_phase_matrix), the cap keeps large grids from holding
+# n_nodes P^d x P^d matrices between calls.  One slot.
 
 _MAT_CACHE: dict = {}
 _MAT_CACHE_CAP_BYTES = 500_000_000
@@ -160,47 +167,40 @@ def _quad_key(quad: SphereQuadrature) -> tuple:
 
 
 def _node_matrix(grid: GridSpec, omega: np.ndarray) -> np.ndarray:
+    """Evaluation matrix at xi+ = (xi + |xi| omega)/2 over the xi-grid;
+    xi- for omega is xi+ for -omega."""
     xi = grid.xi_vectors()
     radius = np.linalg.norm(xi, axis=1)
-    pts = 0.5 * (xi + radius[:, None] * omega)
-    return np.exp(1j * (pts @ grid.v_vectors().T)) * grid.dv**grid.d
-
-
-def _inverse_phase(grid: GridSpec) -> np.ndarray:
-    vv = grid.v_vectors()
-    xi = grid.xi_vectors()
-    return np.exp(-1j * (vv @ xi.T)) * (grid.dxi / (2.0 * np.pi)) ** grid.d
+    return xi_phase_matrix(grid, 0.5 * (xi + radius[:, None] * omega))
 
 
 def _cached_matrices(grid: GridSpec, quad: SphereQuadrature):
-    """(per-node matrices, inverse phase) or None when above the cap."""
+    """Per-node matrices, or None when they would exceed the cap."""
     n_pts = grid.v_points**grid.d
-    nbytes = (quad.n_nodes + 1) * n_pts * n_pts * 16
-    if nbytes > _MAT_CACHE_CAP_BYTES:
+    if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
         return None
     key = (grid, _quad_key(quad))
-    hit = _MAT_CACHE.get(key)
-    if hit is None:
+    mats = _MAT_CACHE.get(key)
+    if mats is None:
         mats = [_node_matrix(grid, omega) for omega in quad.nodes]
-        hit = (mats, _inverse_phase(grid))
         _MAT_CACHE.clear()
-        _MAT_CACHE[key] = hit
-    return hit
+        _MAT_CACHE[key] = mats
+    return mats
 
 
 def _gain_columns(
     grid: GridSpec, quad: SphereQuadrature, fv: np.ndarray, gv: np.ndarray
 ) -> np.ndarray:
-    """Gain on the xi-grid for flattened column data (n_xi, ncols).
+    """Gain on the v-grid for flattened column data (P^d, ncols).
 
-    Accumulates antipodal node pairs so only two evaluation slabs are
-    alive at a time.
+    Accumulates antipodal node pairs, whose xi+ and xi- matrices swap,
+    so only two evaluation slabs are alive at a time.  The xi-grid sum
+    returns to v in place by the FFT of xi_to_v.
     """
     anti = quad.antipode_map()
     w = quad.effective_weights()
     same = gv is fv
-    cached = _cached_matrices(grid, quad)
-    mats = cached[0] if cached else None
+    mats = _cached_matrices(grid, quad)
 
     def node_mat(j):
         return mats[j] if mats is not None else _node_matrix(grid, quad.nodes[j])
@@ -215,26 +215,26 @@ def _gain_columns(
             done[j] = done[k] = True
             mat_j = node_mat(j)
             fp_j = mat_j @ fv
-            gp_j = fp_j if same else mat_j @ gv
             if k == j:
-                gain_xi += w[j] * fp_j * gp_j
+                gain_xi += w[j] * fp_j * (fp_j if same else mat_j @ gv)
                 continue
             mat_k = node_mat(k)
             fp_k = mat_k @ fv
-            gp_k = fp_k if same else mat_k @ gv
-            gain_xi += w[j] * fp_j * gp_k + w[k] * fp_k * gp_j
+            if same:
+                # (w_j + w_k) fp_j fp_k, formed in the fp_j slab
+                fp_j *= fp_k
+                fp_j *= w[j] + w[k]
+                gain_xi += fp_j
+            else:
+                gain_xi += w[j] * fp_j * (mat_k @ gv) + w[k] * fp_k * (mat_j @ gv)
     else:
-        xi = grid.xi_vectors()
-        radius = np.linalg.norm(xi, axis=1)
-        vv = grid.v_vectors()
         for j, omega in enumerate(quad.nodes):
             fp = node_mat(j) @ fv
-            pts_m = 0.5 * (xi - radius[:, None] * omega)
-            mat_m = np.exp(1j * (pts_m @ vv.T)) * grid.dv**grid.d
-            gain_xi += w[j] * fp * (mat_m @ gv)
+            gain_xi += w[j] * fp * (_node_matrix(grid, -omega) @ gv)
 
-    phase = cached[1] if cached else _inverse_phase(grid)
-    return phase @ gain_xi
+    p, d = grid.v_points, grid.d
+    gain_v = _xi_to_v_inplace(grid, gain_xi.reshape((p,) * d + (-1,)), tuple(range(d)))
+    return gain_v.reshape(fv.shape)
 
 
 def gain_bobylev(

@@ -22,6 +22,7 @@ __all__ = [
     "v_to_xi",
     "xi_to_v",
     "eval_xi_offgrid",
+    "xi_phase_matrix",
     "conjugate_symmetry_defect",
     "save_field",
     "load_field",
@@ -217,14 +218,40 @@ def xi_to_v(grid: GridSpec, ftil: np.ndarray) -> PhaseField:
     """Exact inverse of v_to_xi."""
     if ftil.shape != grid.shape:
         raise ValueError(f"ftil shape {ftil.shape} does not match grid")
+    out = np.array(ftil, dtype=np.complex128)
+    return PhaseField(grid, _xi_to_v_inplace(grid, out, grid.v_axes))
+
+
+def _xi_to_v_inplace(grid: GridSpec, arr: np.ndarray, axes) -> np.ndarray:
+    """The xi_to_v transform over ``axes`` of a complex128 array, reusing
+    its buffer: the per-axis phase multiplies, the FFT and the scaling
+    all write into ``arr``, which is returned."""
     ph = np.conj(_v_to_xi_axis_phases(grid))
-    out = np.asarray(ftil, dtype=np.complex128)
-    for ax in grid.v_axes:
-        shape = [1] * (2 * grid.d)
+    for ax in axes:
+        shape = [1] * arr.ndim
         shape[ax] = grid.v_points
-        out = out * ph.reshape(shape)
-    out = np.fft.fftn(out, axes=grid.v_axes) / (grid.v_points * grid.dv) ** grid.d
-    return PhaseField(grid, out)
+        arr *= ph.reshape(shape)
+    np.fft.fftn(arr, axes=axes, out=arr)
+    arr /= (grid.v_points * grid.dv) ** grid.d
+    return arr
+
+
+def xi_phase_matrix(grid: GridSpec, points: np.ndarray) -> np.ndarray:
+    """The (npts, v_points^d) matrix dv^d exp(i xi.v) of exact off-grid
+    evaluation at ``points`` (npts, d), v in flat C order.
+
+    The phase separates over the tensor v-grid, exp(i xi.v) =
+    prod_a exp(i xi_a v_a), so the matrix is a row-wise product of d
+    (npts, v_points) exponential tables: one complex exp per point and
+    axis node, then one broadcast multiply per axis.
+    """
+    points = np.asarray(points, dtype=float)
+    npts = len(points)
+    out = np.exp(1j * np.outer(points[:, 0], grid.v_1d)) * grid.dv**grid.d
+    for a in range(1, grid.d):
+        table = np.exp(1j * np.outer(points[:, a], grid.v_1d))
+        out = (out[:, :, None] * table[:, None, :]).reshape(npts, -1)
+    return out
 
 
 def eval_xi_offgrid(fld: PhaseField, n_index: tuple, xi_star) -> complex:
@@ -238,12 +265,8 @@ def eval_xi_offgrid(fld: PhaseField, n_index: tuple, xi_star) -> complex:
     if xi_star.shape != (g.d,):
         raise ValueError(f"xi* must have {g.d} components")
     idx = tuple(int(np.where(g.modes_1d == m)[0][0]) for m in n_index)
-    coeffs = fld.data[idx]
-    out = coeffs
-    for i in range(g.d):
-        phase = np.exp(1j * xi_star[i] * g.v_1d)
-        out = np.tensordot(out, phase, axes=([0], [0]))
-    return complex(out * g.dv**g.d)
+    coeffs = fld.data[idx].reshape(-1, 1)
+    return complex(eval_xi_points(g, coeffs, xi_star[None, :])[0, 0])
 
 
 def eval_xi_points(grid: GridSpec, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -252,11 +275,9 @@ def eval_xi_points(grid: GridSpec, coeffs: np.ndarray, points: np.ndarray) -> np
     ``coeffs``: shape (v_points^d, ncols) of v-coefficients (e.g. one
     column per x-node); ``points``: shape (npts, d).  Returns
     (npts, ncols).  This is the exact sum dv^d sum_v c(v) exp(i xi.v),
-    built as one matrix product.
+    one product with :func:`xi_phase_matrix`.
     """
-    v = grid.v_vectors()
-    phase = np.exp(1j * (points @ v.T)) * grid.dv**grid.d
-    return phase @ coeffs
+    return xi_phase_matrix(grid, points) @ coeffs
 
 
 def conjugate_symmetry_defect(fld: PhaseField) -> float:

@@ -24,7 +24,6 @@ from .lp import (
 from .norms import (
     NormParams,
     apply_time_cutoff,
-    lp_spacetime_norm,
     psi_window_hb,
     sobolev_norm,
     time_profile_hb,
