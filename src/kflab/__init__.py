@@ -27,7 +27,7 @@ from .grid import (
     x_synthesize,
     xi_to_v,
 )
-from .propagator import free_evolve, interaction_frame
+from .propagator import free_evolve
 from .collision import (
     SphereQuadrature,
     collide,

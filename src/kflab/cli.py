@@ -1,8 +1,7 @@
 """Batch front-end: one experiment per invocation.
 
 Usage:
-    kflab EXPERIMENT [--config FILE] [--seed N] [--jobs N]
-                     [--out-dir DIR] [KEY=VALUE ...]
+    kflab EXPERIMENT [--config FILE] [--seed N] [--out-dir DIR] [KEY=VALUE ...]
 
 Configuration is layered: shipped defaults, then the user config file,
 then KEY=VALUE (or --KEY VALUE) overrides.  Output root resolution:
@@ -374,7 +373,6 @@ def run(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", default=None, help="user config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap")
     parser.add_argument("--out-dir", default=None)
     args, rest = parser.parse_known_args(argv)
     try:

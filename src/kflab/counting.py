@@ -130,10 +130,10 @@ def measure_level_set_exact_1d(
     """Exact 1D measure by interval intersection, n != b1 terms only.
 
     Returns (exact, reference_sum) where the reference is the closed
-    form 2 * sum K/|n - b1| with the unconstrained-v interval lengths.
-    The factor 2 in the reference is not reproduced by the direct
-    computation; both values are returned so the discrepancy stays
-    visible (logged, unresolved).
+    form sum K/|n - b1| over n in [-N, N], the unconstrained-v interval
+    lengths: C0 <= (n - b1)(v - a1) <= C0 + K is one v-interval of
+    length K/|n - b1|.  The sum over n already covers both signs, so the
+    two agree whenever M clips no interval.
     """
     if not 0.0 <= b1 < 1.0:
         raise ValueError("b1 must lie in [0, 1)")
@@ -150,7 +150,7 @@ def measure_level_set_exact_1d(
             lo, hi = max(lo, -M), min(hi, M)
         exact += max(hi - lo, 0.0)
         ref += K / abs(slope)
-    return exact, 2.0 * ref
+    return exact, ref
 
 
 def bound_rhs(query: LevelSetQuery) -> float:

@@ -31,7 +31,6 @@ from .norms import (
     _slice_l4_xi_4,
     _trapz_weights,
 )
-from .propagator import _nv_dot
 from .reports import ExperimentReport
 from .trajectory import (
     Trajectory,
@@ -128,21 +127,36 @@ def _free_l4_norm(
     """L4 over (t, x, xi) of the free evolution of phi, streaming over
     time slices (exact quartic xi-integral per slice).  single=True
     runs the transforms in complex64 (scan speed; the gauge-identity
-    regression keeps double precision)."""
+    regression keeps double precision).
+
+    The phase separates over axes, exp(-i t n.v) = prod_a
+    exp(-i t n_a v_a), so each slice multiplies d (n_modes, v_points)
+    tables, formed from the exact products t n_a v_a, into a reused
+    copy of the data; no full-grid phase is built.
+    """
     from scipy import fft as sfft
 
     g = phi.grid
-    nv = _nv_dot(g)
+    d = g.d
+    nv_1d = np.outer(g.modes_1d, g.v_1d)
     dt = 2.0 * t_half / (n_time - 1)
     tw = _trapz_weights(n_time, dt)
     dtype = np.complex64 if single else np.complex128
     base = phi.data.astype(dtype)
+    slice_data = np.empty_like(base)
     total = 0.0
     for j in range(n_time):
         t = -t_half + j * dt
-        slice_data = base * np.exp(-1j * t * nv).astype(dtype)
-        vals = sfft.ifftn(slice_data, axes=g.n_axes) * g.n_modes**g.d
-        total += tw[j] * g.dx**g.d * _slice_l4_xi_4(vals, g)
+        table = np.exp(-1j * (t * nv_1d)).astype(dtype)
+        np.copyto(slice_data, base)
+        for a in range(d):
+            shape = [1] * (2 * d)
+            shape[a], shape[d + a] = g.n_modes, g.v_points
+            slice_data *= table.reshape(shape)
+        # slice_data is refilled from base on every slice, so the
+        # x-synthesis may overwrite it
+        vals = sfft.ifftn(slice_data, axes=g.n_axes, norm="forward", overwrite_x=True)
+        total += tw[j] * g.dx**d * _slice_l4_xi_4(vals, g)
     return float(total**0.25)
 
 

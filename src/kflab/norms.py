@@ -86,21 +86,31 @@ def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:
     The quartic trig polynomial has bandwidth < 2 v_points per axis, so
     the rectangle rule on the 2x-refined xi-grid (velocity-zero-padded
     FFT) integrates it exactly.  Runs in the dtype of the input
-    (complex64 input stays single precision for speed).
+    (complex64 input stays single precision for speed); the quartic sum
+    accumulates in float64.  Works one leading x-index at a time and pads
+    one axis per FFT, so temporaries are the size of one padded x-row.
     """
     from scipy import fft as sfft
 
     d, p = grid.d, grid.v_points
     dtype = np.complex64 if fld_data.dtype == np.complex64 else np.complex128
-    pad_shape = fld_data.shape[:d] + (2 * p,) * d
-    padded = np.zeros(pad_shape, dtype=dtype)
-    padded[(...,) + (slice(0, p),) * d] = fld_data
-    big = sfft.fftn(padded, axes=tuple(range(d, 2 * d)))
-    mag2 = np.abs(big) ** 2
+    row_shape = fld_data.shape[1:d] + (2 * p,) * d
+    mag2 = np.empty(row_shape, dtype=np.finfo(dtype).dtype)
+    im2 = np.empty_like(mag2)
+    flat = mag2.ravel()
+    total = 0.0
+    for row in fld_data:
+        big = row.astype(dtype, copy=False)
+        for ax in reversed(range(d - 1, 2 * d - 1)):
+            big = sfft.fft(big, n=2 * p, axis=ax)
+        np.multiply(big.real, big.real, out=mag2)
+        np.multiply(big.imag, big.imag, out=im2)
+        mag2 += im2
+        # einsum's dot product, not BLAS ddot: threaded ddot stalls when
+        # another process holds the second core
+        total += float(np.einsum("i,i->", flat, flat, dtype=np.float64))
     refined_dxi = grid.dxi / 2.0
-    return float(
-        refined_dxi**d * grid.dv ** (4 * d) * np.sum(mag2.astype(np.float64) ** 2)
-    )
+    return float(refined_dxi**d * grid.dv ** (4 * d) * total)
 
 
 def lp_spacetime_norm(traj: Trajectory, p) -> float:

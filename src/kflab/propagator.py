@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import GridSpec, PhaseField
 
-__all__ = ["free_evolve", "interaction_frame"]
+__all__ = ["free_evolve"]
 
 
 @lru_cache(maxsize=8)
@@ -26,13 +26,3 @@ def free_evolve(fld: PhaseField, t: float) -> PhaseField:
     """Apply the free propagator for time t (exact, unitary)."""
     phase = np.exp(-1j * float(t) * _nv_dot(fld.grid))
     return PhaseField(fld.grid, fld.data * phase)
-
-
-def interaction_frame(fld: PhaseField, t: float, direction: str = "backward") -> PhaseField:
-    """Conjugation helper: 'backward' applies the inverse propagator
-    (time -t), 'forward' the propagator itself."""
-    if direction == "backward":
-        return free_evolve(fld, -t)
-    if direction == "forward":
-        return free_evolve(fld, t)
-    raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")

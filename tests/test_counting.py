@@ -16,13 +16,14 @@ from kflab import (
 
 def test_exact_1d_harmonic_sum():
     # M = inf, b1 = 0, N = 4, K = 1: intervals of length K/|n| summed over
-    # 0 < |n| <= 4 give 2(1 + 1/2 + 1/3 + 1/4) = 25/6; the closed-form
-    # bound carries an extra factor 2
+    # 0 < |n| <= 4 give 2(1 + 1/2 + 1/3 + 1/4) = 25/6, and the closed form
+    # sums the same terms
     exact, closed = measure_level_set_exact_1d(
         N=4, b1=0.0, C0=0.0, K=1.0, M=1e9
     )
     assert exact == pytest.approx(25.0 / 6.0, rel=1e-9)
-    assert closed == pytest.approx(25.0 / 3.0, rel=1e-12)
+    assert closed == pytest.approx(25.0 / 6.0, rel=1e-12)
+    assert closed == pytest.approx(exact, rel=1e-9)
 
 
 def test_exact_1d_single_interval():

@@ -15,9 +15,12 @@ from kflab import (
     project_x_shell,
     psi_delta_scaling,
     random_block_field,
+    random_field,
     strichartz_gauge_check,
     strichartz_scan,
 )
+from kflab.lab import _free_l4_norm
+from kflab.norms import _trapz_weights
 
 
 def test_loglog_slope():
@@ -50,6 +53,46 @@ def test_strichartz_scan_small():
     rep.validate_finite()
     assert len(rep.rows) == 4
     assert all(r > 0 for r in rep.column("ratio"))
+
+
+def _dense_free_l4_norm(phi, t_half, n_time, single=False):
+    """Reference for _free_l4_norm: the phase exp(-i t n.v) over the full
+    (n, v) grid, a 2x zero-padded v-fftn per slice and a float64 sum of
+    |F|^4, all in the slice dtype."""
+    from scipy import fft as sfft
+
+    g = phi.grid
+    d, p = g.d, g.v_points
+    nv = g.nv_dot()
+    dt = 2.0 * t_half / (n_time - 1)
+    tw = _trapz_weights(n_time, dt)
+    dtype = np.complex64 if single else np.complex128
+    base = phi.data.astype(dtype)
+    total = 0.0
+    for j in range(n_time):
+        t = -t_half + j * dt
+        slice_data = base * np.exp(-1j * t * nv).astype(dtype)
+        vals = sfft.ifftn(slice_data, axes=g.n_axes) * g.n_modes**d
+        padded = np.zeros(vals.shape[:d] + (2 * p,) * d, dtype=dtype)
+        padded[(...,) + (slice(0, p),) * d] = vals
+        mag2 = np.abs(sfft.fftn(padded, axes=g.v_axes)) ** 2
+        quartic = (g.dxi / 2.0) ** d * g.dv ** (4 * d) * np.sum(
+            mag2.astype(np.float64) ** 2
+        )
+        total += tw[j] * g.dx**d * quartic
+    return float(total**0.25)
+
+
+@pytest.mark.parametrize("single, rel", [(False, 1e-13), (True, 1e-6)])
+@pytest.mark.parametrize(
+    "d, n_modes, v_points, n_time",
+    [(2, 8, 16, 9), (2, 6, 8, 8), (3, 4, 8, 5), (3, 6, 4, 6)],
+)
+def test_free_l4_norm_matches_dense(d, n_modes, v_points, n_time, single, rel):
+    g = make_grid(d=d, n_modes=n_modes, v_points=v_points, v_extent=4.0)
+    phi = random_field(g, seed=7)
+    fast = _free_l4_norm(phi, 0.7, n_time, single=single)
+    assert fast == pytest.approx(_dense_free_l4_norm(phi, 0.7, n_time, single), rel=rel)
 
 
 def test_strichartz_gauge_identity():

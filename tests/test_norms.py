@@ -121,33 +121,31 @@ def test_lp_p2_free_evolution_invariant():
 
 
 def test_lp_p4_against_brute_force():
-    g = make_grid(d=2, n_modes=2, v_points=4, v_extent=2.0)
-    traj = sample_free_evolution(random_field(g, seed=5), 0.5, 5)
-    val = lp_spacetime_norm(traj, 4)
-    # brute force: evaluate the xi-side field on an 8x-refined xi grid
-    from kflab import v_to_xi, x_synthesize
+    # brute force: evaluate the xi-side field on a refined xi grid
+    from kflab import x_synthesize
     from kflab.grid import eval_xi_points
 
-    total = 0.0
-    w = np.full(5, traj.dt)
-    w[0] = w[-1] = traj.dt / 2.0
-    refine = 8
-    xi1 = -np.pi / g.dv + (2 * np.pi / g.dv) * np.arange(
-        refine * g.v_points
-    ) / (refine * g.v_points)
-    pts = np.stack(
-        [a.ravel() for a in np.meshgrid(xi1, xi1, indexing="ij")], axis=1
-    )
-    for j in range(5):
-        fld = traj.slice_field(j)
-        vals_x = x_synthesize(fld)
-        for ix in range(g.n_modes):
-            for iy in range(g.n_modes):
-                coeffs = vals_x[ix, iy].reshape(-1, 1)
+    for d, refine in ((2, 8), (3, 4)):
+        g = make_grid(d=d, n_modes=2, v_points=4, v_extent=2.0)
+        traj = sample_free_evolution(random_field(g, seed=5), 0.5, 5)
+        val = lp_spacetime_norm(traj, 4)
+        total = 0.0
+        w = np.full(5, traj.dt)
+        w[0] = w[-1] = traj.dt / 2.0
+        xi1 = -np.pi / g.dv + (2 * np.pi / g.dv) * np.arange(
+            refine * g.v_points
+        ) / (refine * g.v_points)
+        pts = np.stack(
+            [a.ravel() for a in np.meshgrid(*([xi1] * d), indexing="ij")], axis=1
+        )
+        dxi_f = (xi1[1] - xi1[0]) ** d
+        for j in range(5):
+            vals_x = x_synthesize(traj.slice_field(j))
+            for ix in np.ndindex(*(g.n_modes,) * d):
+                coeffs = vals_x[ix].reshape(-1, 1)
                 u = eval_xi_points(g, coeffs, pts)[:, 0]
-                dxi_f = (xi1[1] - xi1[0]) ** 2
-                total += w[j] * g.dx**2 * dxi_f * np.sum(np.abs(u) ** 4)
-    assert val**4 == pytest.approx(total, rel=1e-10)
+                total += w[j] * g.dx**d * dxi_f * np.sum(np.abs(u) ** 4)
+        assert val**4 == pytest.approx(total, rel=1e-10), d
 
 
 def test_time_cutoff_plateau_support_double():
