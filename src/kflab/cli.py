@@ -38,6 +38,11 @@ EXPERIMENTS = (
 )
 
 
+# counting-check's single-cell mode reads these keys, which its shipped
+# section (a sweep) does not list
+_EXTRA_KEYS = {"counting-check": ("N", "M", "K", "queries")}
+
+
 def _load_config(config_path: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     cfg.optionxform = str  # keys are case sensitive (Ns vs N)
@@ -85,13 +90,24 @@ def _collect_overrides(tokens: list) -> dict:
 
 
 class Settings:
-    """Merged view of one experiment's section with overrides applied."""
+    """Merged view of one experiment's section with overrides applied.
+
+    Every key must be one the experiment knows: a key of the shipped
+    ``[common]`` or of the experiment's shipped section, or one of
+    ``_EXTRA_KEYS``.  Any other key, from the command line or the user
+    config file, is a ValueError naming it.
+    """
 
     def __init__(self, cfg, section: str, overrides: dict):
         self.values = dict(cfg["common"]) if cfg.has_section("common") else {}
         if cfg.has_section(section):
             self.values.update(cfg[section])
         self.values.update(overrides)
+        shipped = _load_config(None)
+        known = set(shipped["common"]) | set(shipped[section])
+        unknown = sorted(set(self.values) - known - set(_EXTRA_KEYS.get(section, ())))
+        if unknown:
+            raise ValueError(f"unknown key(s) for {section}: {', '.join(unknown)}")
 
     def get(self, key: str, fallback=None):
         if key not in self.values:

@@ -7,8 +7,20 @@ with ``xi_pm = (xi +- |xi| omega)/2``, the loss term is
 physical-space scattering formula directly on the velocity grid with
 multilinear interpolation and zero extension.
 
+The gain evaluates ftil off-grid by exact trigonometric sums, one
+matrix per sphere node.  For an antipodal node pair omega_k = -omega_j
+the two matrices are related by M_k[xi] = conj(M_j[-xi]), because
+xi_plus_k(xi) = -xi_plus_j(-xi).  So one real product of the stacked
+[Re M_j; Im M_j] with the columns gives both M_j f and M_k f, the latter
+by a fixed row gather; the rows of M_k whose xi has a +P/2 component
+(-xi is not on the grid) are evaluated directly.  Columns go through in
+fixed blocks so the elementwise work stays in cache.
+
 Everything is evaluated per x-node; quadratic products in x are
 dealiased by zero-padded synthesis (3/2 rule), on by default.
+``collide_trajectory`` forms the loss from the same synthesized columns
+as the gain and analyzes gain minus loss once per slice; ``collide`` is
+its one-slice case.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ __all__ = [
 class SphereQuadrature:
     """Nodes and positive weights on the unit sphere, weights summing to
     the full surface measure.  ``kernel`` is an optional per-node weight
-    for non-constant angular kernels (extension hook, untested)."""
+    for non-constant angular kernels."""
 
     d: int
     nodes: np.ndarray
@@ -151,14 +163,20 @@ def _unflatten_xv(grid: GridSpec, cols: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Phase-matrix cache.  The per-node evaluation matrices depend only on
+# Antipodal-pair stacks and their cache.  For a node pair omega_k = -omega_j
+# the stack holds the float64 rows [Re M_j; Re M_k[nyq]; Im M_j; -Im M_k[nyq]],
+# nyq being the xi rows with a +P/2 component.  The stacks depend only on
 # (grid, quadrature).  A Picard solve batches every time slice into one
-# gain call per sweep, so the cache saves one build per sweep; building
-# is cheap (xi_phase_matrix), the cap keeps large grids from holding
-# n_nodes P^d x P^d matrices between calls.  One slot.
+# gain call per sweep, so the cache saves one build per sweep; the cap
+# keeps large grids from holding them between calls.  The check counts
+# n_nodes complex P^d x P^d matrices; the n_nodes/2 real stacks take
+# about half of that.  One slot.
 
 _MAT_CACHE: dict = {}
 _MAT_CACHE_CAP_BYTES = 500_000_000
+# columns per block of the pair products (and stack rows per fill step):
+# the elementwise work on one block stays in L2
+_GAIN_BLOCK = 256
 
 
 def _quad_key(quad: SphereQuadrature) -> tuple:
@@ -166,26 +184,81 @@ def _quad_key(quad: SphereQuadrature) -> tuple:
     return (quad.d, quad.nodes.tobytes(), quad.weights.tobytes(), kern)
 
 
+def _plus_points(grid: GridSpec, omega: np.ndarray) -> np.ndarray:
+    """xi+ = (xi + |xi| omega)/2 over the xi-grid, shape (P^d, d)."""
+    xi = grid.xi_vectors()
+    radius = np.linalg.norm(xi, axis=1)
+    return 0.5 * (xi + radius[:, None] * omega)
+
+
 def _node_matrix(grid: GridSpec, omega: np.ndarray) -> np.ndarray:
     """Evaluation matrix at xi+ = (xi + |xi| omega)/2 over the xi-grid;
     xi- for omega is xi+ for -omega."""
-    xi = grid.xi_vectors()
-    radius = np.linalg.norm(xi, axis=1)
-    return xi_phase_matrix(grid, 0.5 * (xi + radius[:, None] * omega))
+    return xi_phase_matrix(grid, _plus_points(grid, omega))
 
 
-def _cached_matrices(grid: GridSpec, quad: SphereQuadrature):
-    """Per-node matrices, or None when they would exceed the cap."""
+def _mirror_rows(grid: GridSpec):
+    """(nyq, gather): the flat xi rows with a +P/2 component, whose
+    negative is off the grid, and the row map that takes the pair
+    product to M_k (see _pair_values): row -xi for the others, the
+    directly evaluated row for these."""
+    p, d = grid.v_points, grid.d
+    idx = np.indices((p,) * d).reshape(d, -1)
+    nyq = np.flatnonzero(np.any(idx == p // 2, axis=0))
+    gather = np.ravel_multi_index((-idx) % p, (p,) * d)
+    gather[nyq] = p**d + np.arange(nyq.size)
+    return nyq, gather
+
+
+def _fill_pair_stack(
+    grid: GridSpec, omega: np.ndarray, nyq: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write the stack of the pair (omega, -omega) into ``out``, shape
+    (2 (P^d + nyq.size), P^d), from _GAIN_BLOCK complex rows at a time."""
+    pts = np.concatenate([_plus_points(grid, omega), _plus_points(grid, -omega)[nyq]])
+    h = len(pts)
+    for r0 in range(0, h, _GAIN_BLOCK):
+        r1 = min(r0 + _GAIN_BLOCK, h)
+        mat = xi_phase_matrix(grid, pts[r0:r1])
+        out[r0:r1] = mat.real
+        out[h + r0 : h + r1] = mat.imag
+    out[2 * h - nyq.size :] *= -1.0
+    return out
+
+
+def _pair_stacks(
+    grid: GridSpec, quad: SphereQuadrature, pairs: list, nyq: np.ndarray
+):
+    """The stacks of ``pairs`` in order: the cached list, or, when the
+    node matrices would exceed the cap, one buffer refilled per pair."""
     n_pts = grid.v_points**grid.d
+    shape = (2 * (n_pts + nyq.size), n_pts)
     if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
-        return None
+        buf = np.empty(shape)
+        return (_fill_pair_stack(grid, quad.nodes[j], nyq, buf) for j, _ in pairs)
     key = (grid, _quad_key(quad))
-    mats = _MAT_CACHE.get(key)
-    if mats is None:
-        mats = [_node_matrix(grid, omega) for omega in quad.nodes]
+    stacks = _MAT_CACHE.get(key)
+    if stacks is None:
+        stacks = [
+            _fill_pair_stack(grid, quad.nodes[j], nyq, np.empty(shape)) for j, _ in pairs
+        ]
         _MAT_CACHE.clear()
-        _MAT_CACHE[key] = mats
-    return mats
+        _MAT_CACHE[key] = stacks
+    return stacks
+
+
+def _pair_values(stack: np.ndarray, cols: np.ndarray, gather: np.ndarray):
+    """(M_j c, M_k c) on the xi-grid for one pair's stack and a column
+    block c (contiguous last axis).  The Re rows act on c and the Im rows
+    on i c, both as real products; their sum is M_j c, and their
+    difference, gathered, is M_k c = conj(M_j)[-xi] c."""
+    h = stack.shape[0] // 2
+    re = (stack[:h] @ cols.view(np.float64)).view(np.complex128)
+    im = (stack[h:] @ (1j * cols).view(np.float64)).view(np.complex128)
+    n = gather.size
+    mj = re[:n] + im[:n]
+    re -= im
+    return mj, re.take(gather, axis=0)
 
 
 def _gain_columns(
@@ -193,44 +266,40 @@ def _gain_columns(
 ) -> np.ndarray:
     """Gain on the v-grid for flattened column data (P^d, ncols).
 
-    Accumulates antipodal node pairs, whose xi+ and xi- matrices swap,
-    so only two evaluation slabs are alive at a time.  The xi-grid sum
+    Antipodal node pairs share one stack and one real product per column
+    block (_pair_values).  A node set without antipodal symmetry falls
+    back to one complex product per node and side.  The xi-grid sum
     returns to v in place by the FFT of xi_to_v.
     """
     anti = quad.antipode_map()
     w = quad.effective_weights()
     same = gv is fv
-    mats = _cached_matrices(grid, quad)
-
-    def node_mat(j):
-        return mats[j] if mats is not None else _node_matrix(grid, quad.nodes[j])
-
+    fv = np.ascontiguousarray(fv)
+    gv = fv if same else np.ascontiguousarray(gv)
     gain_xi = np.zeros(fv.shape, dtype=np.complex128)
-    if anti is not None:
-        done = np.zeros(quad.n_nodes, dtype=bool)
-        for j in range(quad.n_nodes):
-            if done[j]:
-                continue
-            k = int(anti[j])
-            done[j] = done[k] = True
-            mat_j = node_mat(j)
-            fp_j = mat_j @ fv
-            if k == j:
-                gain_xi += w[j] * fp_j * (fp_j if same else mat_j @ gv)
-                continue
-            mat_k = node_mat(k)
-            fp_k = mat_k @ fv
-            if same:
-                # (w_j + w_k) fp_j fp_k, formed in the fp_j slab
-                fp_j *= fp_k
-                fp_j *= w[j] + w[k]
-                gain_xi += fp_j
-            else:
-                gain_xi += w[j] * fp_j * (mat_k @ gv) + w[k] * fp_k * (mat_j @ gv)
-    else:
+    if anti is None:
         for j, omega in enumerate(quad.nodes):
-            fp = node_mat(j) @ fv
+            fp = _node_matrix(grid, omega) @ fv
             gain_xi += w[j] * fp * (_node_matrix(grid, -omega) @ gv)
+    else:
+        pairs = [(j, int(k)) for j, k in enumerate(anti) if j < k]
+        nyq, gather = _mirror_rows(grid)
+        for (j, k), stack in zip(pairs, _pair_stacks(grid, quad, pairs, nyq)):
+            for c0 in range(0, fv.shape[1], _GAIN_BLOCK):
+                sl = slice(c0, c0 + _GAIN_BLOCK)
+                fj, fk = _pair_values(stack, fv[:, sl], gather)
+                if same:
+                    # node j gives w_j fj fk, node k gives w_k fk fj
+                    fj *= fk
+                    fj *= w[j] + w[k]
+                else:
+                    gj, gk = _pair_values(stack, gv[:, sl], gather)
+                    fj *= gk
+                    fj *= w[j]
+                    fk *= gj
+                    fk *= w[k]
+                    fj += fk
+                gain_xi[:, sl] += fj
 
     p, d = grid.v_points, grid.d
     gain_v = _xi_to_v_inplace(grid, gain_xi.reshape((p,) * d + (-1,)), tuple(range(d)))
@@ -266,13 +335,17 @@ def collide_trajectory(
     dealias: bool = True,
     active=None,
 ) -> np.ndarray:
-    """Q(f_j, f_j) for a stack of fields, shape (S,) + grid.shape.
+    """Q(f_j, f_j) = gain - loss for a stack of fields, shape (S,) + grid.shape.
 
     Batches every active slice into one gain evaluation so the node
-    matrices (or their cached copies) are applied once per call;
-    ``active`` is an optional boolean mask of slices to process (others
-    return zero).
+    stacks (or their cached copies) are applied once per call; ``active``
+    is an optional boolean mask of slices to process (others return
+    zero).  The loss, area * f(x, v) * dv^d sum_u f(x, u) with area the
+    quadrature's total weight, comes from the same synthesized columns,
+    and each slice is analyzed once.
     """
+    if quad.d != grid.d:
+        raise ValueError("quadrature dimension does not match grid")
     S = stack.shape[0]
     if active is None:
         active = np.ones(S, dtype=bool)
@@ -288,18 +361,13 @@ def collide_trajectory(
         cols[:, pos * n_x : (pos + 1) * n_x] = _flatten_xv(
             grid, _synthesize_padded(fld, m), m
         )
-    gain_v = _gain_columns(grid, quad, cols, cols)
+    q_v = _gain_columns(grid, quad, cols, cols)
     area = float(np.sum(quad.effective_weights()))
     for pos, j in enumerate(idx):
-        block = gain_v[:, pos * n_x : (pos + 1) * n_x]
-        gain = _analyze_truncate(grid, _unflatten_xv(grid, block, m), m)
-        loss = loss_bobylev(
-            PhaseField(grid, stack[j]),
-            PhaseField(grid, stack[j]),
-            dealias=dealias,
-            area=area,
-        )
-        out[j] = gain.data - loss.data
+        sl = slice(pos * n_x, (pos + 1) * n_x)
+        mass = grid.dv**grid.d * cols[:, sl].sum(axis=0)
+        q_v[:, sl] -= cols[:, sl] * (area * mass)
+        out[j] = _analyze_truncate(grid, _unflatten_xv(grid, q_v[:, sl], m), m).data
     return out
 
 
@@ -406,16 +474,15 @@ def gain_direct_oracle(
 
 
 def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> PhaseField:
-    """Full collision operator, gain minus loss, spectral path.
+    """Full collision operator, gain minus loss, spectral path: the
+    one-slice case of :func:`collide_trajectory`.
 
     The loss uses the quadrature's total weight as the angular measure so
     that gain and loss cancel exactly at xi = 0 (discrete mass
     conservation) for any weighting, including zeroed weights.
     """
-    area = float(np.sum(quad.effective_weights()))
-    return gain_bobylev(f, f, quad, dealias=dealias) - loss_bobylev(
-        f, f, dealias=dealias, area=area
-    )
+    q = collide_trajectory(f.data[None], f.grid, quad, dealias=dealias)
+    return PhaseField(f.grid, q[0])
 
 
 def moments(fld: PhaseField) -> tuple:

@@ -76,6 +76,26 @@ def test_seeded_runs_byte_identical(tmp_path):
     assert (a / csv_a).read_bytes() == (b / csv_a).read_bytes()
 
 
+def test_unknown_keys_exit_1(tmp_path, capsys):
+    # a misspelt command-line key, and a retired option
+    out = tmp_path / "cli"
+    code = run(["linear-check", "--out-dir", str(out), "n_mode=2", "--jobs", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "n_mode" in err and "jobs" in err
+    assert not out.exists()
+    # a key in the user config file that the experiment does not read
+    cfg = tmp_path / "user.cfg"
+    cfg.write_text("[linear-check]\nn_samples = 65\nbogus = 1\n")
+    code = run(["linear-check", "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+    # counting-check's single-cell keys are known, from a config file too
+    cfg.write_text("[counting-check]\nN = 1\nM = 1\nK = 1\nqueries = 1\n")
+    assert run(["counting-check", "--config", str(cfg), "--out-dir", str(out)]) == 0
+
+
 def test_bad_experiment_rejected():
     with pytest.raises(SystemExit):
         run(["not-an-experiment"])

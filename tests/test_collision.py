@@ -275,3 +275,78 @@ def test_collide_matches_dense_gain():
     gain = _analyze_truncate(g, _unflatten_xv(g, _dense_gain(g, quad, fv, fv), m), m)
     loss = loss_bobylev(f, f, area=float(np.sum(quad.weights)))
     assert _rel(collide(f, quad).data, gain.data - loss.data) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# The antipodal-pair kernel: column blocks, the cache bypass, a non-constant
+# angular kernel, and the loss fused into collide_trajectory.
+
+
+@pytest.mark.parametrize("d, v_points, n_nodes", [(2, 16, 16), (3, 8, 32)])
+def test_gain_columns_blocks_match_dense(d, v_points, n_nodes):
+    from kflab.collision import _GAIN_BLOCK, _gain_columns
+
+    g = make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0)
+    quad = sphere_quadrature(d, n_nodes)
+    # two full blocks and a ragged one
+    ncols = 2 * _GAIN_BLOCK + 37
+    fv, gv = _columns(g, 15, ncols), _columns(g, 16, ncols)
+    assert _rel(_gain_columns(g, quad, fv, gv), _dense_gain(g, quad, fv, gv)) <= 1e-13
+    assert _rel(_gain_columns(g, quad, fv, fv), _dense_gain(g, quad, fv, fv)) <= 1e-13
+
+
+def test_gain_cache_bypass_matches_cached(monkeypatch):
+    from kflab import collision
+
+    g = make_grid(d=2, n_modes=2, v_points=16, v_extent=6.0)
+    quad = sphere_quadrature(2, 16)
+    ncols = collision._GAIN_BLOCK + 5
+    fv, gv = _columns(g, 18, ncols), _columns(g, 19, ncols)
+    collision._MAT_CACHE.clear()
+    cached = [collision._gain_columns(g, quad, fv, b) for b in (gv, fv)]
+    assert collision._MAT_CACHE
+    monkeypatch.setattr(collision, "_MAT_CACHE_CAP_BYTES", 0)
+    collision._MAT_CACHE.clear()
+    bypass = [collision._gain_columns(g, quad, fv, b) for b in (gv, fv)]
+    assert not collision._MAT_CACHE
+    for a, b, other in zip(cached, bypass, (gv, fv)):
+        assert _rel(b, a) <= 1e-13
+        assert _rel(b, _dense_gain(g, quad, fv, other)) <= 1e-13
+
+
+@pytest.mark.parametrize("d, v_points, n_nodes", [(2, 16, 16), (3, 8, 32)])
+def test_gain_angular_kernel_matches_dense(d, v_points, n_nodes):
+    from kflab import SphereQuadrature
+    from kflab.collision import _gain_columns
+
+    g = make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0)
+    base = sphere_quadrature(d, n_nodes)
+    nodes = base.nodes
+    kernel = 1.0 + 0.5 * nodes[:, 0] + 0.3 * nodes[:, 1] ** 2
+    quad = SphereQuadrature(d, nodes, base.weights, kernel)
+    w = quad.effective_weights()
+    # odd in omega, so antipodal nodes carry different weights
+    assert np.max(np.abs(w - w[quad.antipode_map()])) > 0.5 * np.max(base.weights)
+    fv, gv = _columns(g, 20), _columns(g, 21)
+    assert _rel(_gain_columns(g, quad, fv, gv), _dense_gain(g, quad, fv, gv)) <= 1e-13
+    assert _rel(_gain_columns(g, quad, fv, fv), _dense_gain(g, quad, fv, fv)) <= 1e-13
+
+
+def test_collide_trajectory_partial_mask_matches_per_slice():
+    from kflab.collision import collide_trajectory
+
+    g = make_grid(d=2, n_modes=8, v_points=16, v_extent=6.0)
+    quad = sphere_quadrature(2, 16)
+    rng = np.random.default_rng(22)
+    shape = (5,) + g.shape
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    active = np.array([True, False, True, True, False])
+    q = collide_trajectory(stack, g, quad, active=active)
+    area = float(np.sum(quad.effective_weights()))
+    for j in range(len(stack)):
+        if not active[j]:
+            assert not np.any(q[j])
+            continue
+        f = PhaseField(g, stack[j])
+        expected = gain_bobylev(f, f, quad).data - loss_bobylev(f, f, area=area).data
+        assert _rel(q[j], expected) <= 1e-13
