@@ -170,7 +170,8 @@ def _unflatten_xv(grid: GridSpec, cols: np.ndarray, m: int) -> np.ndarray:
 # gain call per sweep, so the cache saves one build per sweep; the cap
 # keeps large grids from holding them between calls.  The check counts
 # n_nodes complex P^d x P^d matrices; the n_nodes/2 real stacks take
-# about half of that.  One slot.
+# about half of that.  A node set without antipodal symmetry caches its
+# n_nodes xi+ matrices instead.  One slot.
 
 _MAT_CACHE: dict = {}
 _MAT_CACHE_CAP_BYTES = 500_000_000
@@ -182,6 +183,21 @@ _GAIN_BLOCK = 256
 def _quad_key(quad: SphereQuadrature) -> tuple:
     kern = None if quad.kernel is None else quad.kernel.tobytes()
     return (quad.d, quad.nodes.tobytes(), quad.weights.tobytes(), kern)
+
+
+def _cached(grid: GridSpec, quad: SphereQuadrature, build):
+    """The cache slot's entry for (grid, quad), made by ``build()`` on a
+    miss, or None when n_nodes node matrices would exceed the cap."""
+    n_pts = grid.v_points**grid.d
+    if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
+        return None
+    key = (grid, _quad_key(quad))
+    entry = _MAT_CACHE.get(key)
+    if entry is None:
+        entry = build()
+        _MAT_CACHE.clear()
+        _MAT_CACHE[key] = entry
+    return entry
 
 
 def _plus_points(grid: GridSpec, omega: np.ndarray) -> np.ndarray:
@@ -233,17 +249,16 @@ def _pair_stacks(
     node matrices would exceed the cap, one buffer refilled per pair."""
     n_pts = grid.v_points**grid.d
     shape = (2 * (n_pts + nyq.size), n_pts)
-    if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
+    stacks = _cached(
+        grid,
+        quad,
+        lambda: [
+            _fill_pair_stack(grid, quad.nodes[j], nyq, np.empty(shape)) for j, _ in pairs
+        ],
+    )
+    if stacks is None:
         buf = np.empty(shape)
         return (_fill_pair_stack(grid, quad.nodes[j], nyq, buf) for j, _ in pairs)
-    key = (grid, _quad_key(quad))
-    stacks = _MAT_CACHE.get(key)
-    if stacks is None:
-        stacks = [
-            _fill_pair_stack(grid, quad.nodes[j], nyq, np.empty(shape)) for j, _ in pairs
-        ]
-        _MAT_CACHE.clear()
-        _MAT_CACHE[key] = stacks
     return stacks
 
 
@@ -268,8 +283,8 @@ def _gain_columns(
 
     Antipodal node pairs share one stack and one real product per column
     block (_pair_values).  A node set without antipodal symmetry falls
-    back to one complex product per node and side.  The xi-grid sum
-    returns to v in place by the FFT of xi_to_v.
+    back to one complex product per node and side, with the xi+ matrices
+    cached.  The xi-grid sum returns to v in place by the FFT of xi_to_v.
     """
     anti = quad.antipode_map()
     w = quad.effective_weights()
@@ -278,8 +293,9 @@ def _gain_columns(
     gv = fv if same else np.ascontiguousarray(gv)
     gain_xi = np.zeros(fv.shape, dtype=np.complex128)
     if anti is None:
+        mats = _cached(grid, quad, lambda: [_node_matrix(grid, om) for om in quad.nodes])
         for j, omega in enumerate(quad.nodes):
-            fp = _node_matrix(grid, omega) @ fv
+            fp = (mats[j] if mats is not None else _node_matrix(grid, omega)) @ fv
             gain_xi += w[j] * fp * (_node_matrix(grid, -omega) @ gv)
     else:
         pairs = [(j, int(k)) for j, k in enumerate(anti) if j < k]
@@ -344,6 +360,11 @@ def collide_trajectory(
     quadrature's total weight, comes from the same synthesized columns,
     and each slice is analyzed once.
     """
+    return _collide_stack(stack, grid, quad, dealias, active)
+
+
+def _collide_stack(stack, grid, quad, dealias, active):
+    """Body of :func:`collide_trajectory`, shared with :func:`collide`."""
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
     S = stack.shape[0]
@@ -481,7 +502,7 @@ def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> Phas
     that gain and loss cancel exactly at xi = 0 (discrete mass
     conservation) for any weighting, including zeroed weights.
     """
-    q = collide_trajectory(f.data[None], f.grid, quad, dealias=dealias)
+    q = _collide_stack(f.data[None], f.grid, quad, dealias, None)
     return PhaseField(f.grid, q[0])
 
 

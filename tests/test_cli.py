@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from kflab.cli import run
+from kflab.cli import Settings, _load_config, run
 
 
 def _simulate_args(out_dir, extra=()):
@@ -99,3 +99,41 @@ def test_unknown_keys_exit_1(tmp_path, capsys):
 def test_bad_experiment_rejected():
     with pytest.raises(SystemExit):
         run(["not-an-experiment"])
+
+
+_SOLVER_TINY = ["n_modes=4", "v_points=12", "v_extent=5.0", "T=0.0625",
+                "dt=0.015625", "nodes=8", "max_picard=16", "tol=1e-7"]
+_TINY_RUNS = {
+    "simulate": _simulate_args("")[3:],  # the overrides only
+    "strichartz-scan": ["Ns=2", "Ms=1", "trials=1", "n_modes=8", "v_points=8",
+                        "v_extent=4.0", "n_time=5", "T=0.5"],
+    "bilinear-check": ["n_modes=4", "v_points=8", "N=2", "M=1", "K1s=1",
+                       "K2s=1", "trials=1", "n_samples=8"],
+    "loss-check": ["n_modes=4", "v_points=8", "Ts=0.125", "trials=1", "ratio_cap=0"],
+    "gain-check": ["n_modes=4", "v_points=8", "Ts=0.125", "trials=1", "nodes=4"],
+    "holder-check": ["n_modes=4", "v_points=8", "trials=1", "nodes=4"],
+    "linear-check": ["n_modes=2", "v_points=8", "n_samples=33"],
+    "counting-check": ["Ns=2,4", "Ms=1", "Ks=1", "queries_per_cell=1",
+                       "mc_samples=100"],
+    "conservation-check": _SOLVER_TINY,
+    "perturbation-check": _SOLVER_TINY + ["deltas=1e-2,1e-3"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_TINY_RUNS))
+def test_every_key_read_is_accepted(experiment, tmp_path, monkeypatch, capsys):
+    # record the keys a small run reads, then set each of them
+    read = set()
+    get = Settings.get
+
+    def spy(self, key, fallback=None):
+        read.add(key)
+        return get(self, key, fallback)
+
+    monkeypatch.setattr(Settings, "get", spy)
+    code = run([experiment, "--out-dir", str(tmp_path)] + _TINY_RUNS[experiment])
+    assert code != 1, capsys.readouterr().err
+    if experiment in ("simulate", "conservation-check", "perturbation-check"):
+        assert {"max_picard", "tol"} <= read
+    # raises ValueError if any key read is not accepted
+    Settings(_load_config(None), experiment, {k: "0" for k in read})

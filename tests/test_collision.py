@@ -295,11 +295,12 @@ def test_gain_columns_blocks_match_dense(d, v_points, n_nodes):
     assert _rel(_gain_columns(g, quad, fv, fv), _dense_gain(g, quad, fv, fv)) <= 1e-13
 
 
-def test_gain_cache_bypass_matches_cached(monkeypatch):
+@pytest.mark.parametrize("n_nodes", [16, 15])  # antipodal pairs; the odd-count branch
+def test_gain_cache_bypass_matches_cached(monkeypatch, n_nodes):
     from kflab import collision
 
     g = make_grid(d=2, n_modes=2, v_points=16, v_extent=6.0)
-    quad = sphere_quadrature(2, 16)
+    quad = sphere_quadrature(2, n_nodes)
     ncols = collision._GAIN_BLOCK + 5
     fv, gv = _columns(g, 18, ncols), _columns(g, 19, ncols)
     collision._MAT_CACHE.clear()
