@@ -3,8 +3,10 @@
 Usage:
     kflab EXPERIMENT [--config FILE] [--seed N] [--out-dir DIR] [KEY=VALUE ...]
 
-Configuration is layered: shipped defaults, then the user config file,
-then KEY=VALUE (or --KEY VALUE) overrides.  Output root resolution:
+Every default lives in the shipped ``defaults.cfg``.  An experiment reads
+``[common]``, then ``[solver]`` if it runs the solver, then its own
+section; the same sections of the user config file, then KEY=VALUE (or
+--KEY VALUE) overrides, are layered on top.  Output root resolution:
 --out-dir, else $KFL_OUT_DIR, else the configured out_dir.  Exit codes:
 0 pass, 2 bounded-ratio regression failure, 1 error.
 """
@@ -22,37 +24,30 @@ import numpy as np
 
 from . import counting, lab, solver
 from .grid import make_grid, save_field
-from .norms import NormParams
-
-EXPERIMENTS = (
-    "simulate",
-    "strichartz-scan",
-    "bilinear-check",
-    "loss-check",
-    "gain-check",
-    "holder-check",
-    "linear-check",
-    "counting-check",
-    "conservation-check",
-    "perturbation-check",
-)
-
 
 # counting-check's single-cell mode reads these keys, which its shipped
 # section (a sweep) does not list
 _EXTRA_KEYS = {"counting-check": ("N", "M", "K", "queries")}
 
 
-def _load_config(config_path: str | None) -> configparser.ConfigParser:
+def _parser() -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     cfg.optionxform = str  # keys are case sensitive (Ns vs N)
-    with resources.files("kflab").joinpath("data/defaults.cfg").open() as fh:
-        cfg.read_file(fh)
-    if config_path is not None:
-        if not os.path.isfile(config_path):
-            raise FileNotFoundError(f"config file not found: {config_path}")
-        cfg.read(config_path)
     return cfg
+
+
+def _load_config(config_path: str | None) -> list:
+    """The parsed shipped defaults, then the user config file if given."""
+    shipped = _parser()
+    with resources.files("kflab").joinpath("data/defaults.cfg").open() as fh:
+        shipped.read_file(fh)
+    if config_path is None:
+        return [shipped]
+    if not os.path.isfile(config_path):
+        raise FileNotFoundError(f"config file not found: {config_path}")
+    user = _parser()
+    user.read(config_path)
+    return [shipped, user]
 
 
 def _parse_value(raw: str):
@@ -90,59 +85,72 @@ def _collect_overrides(tokens: list) -> dict:
 
 
 class Settings:
-    """Merged view of one experiment's section with overrides applied.
+    """Merged view of one experiment's settings with overrides applied.
 
-    Every key must be one the experiment knows: a key of the shipped
-    ``[common]`` or of the experiment's shipped section, or one of
+    ``cfg`` is the list from ``_load_config``.  Each of its files
+    contributes ``[common]``, the experiment's shared sections in
+    ``_RUNNERS`` and its own section, in that order; the overrides come
+    last.  Every key must be one those shipped sections list, or one of
     ``_EXTRA_KEYS``.  Any other key, from the command line or the user
     config file, is a ValueError naming it.
     """
 
-    def __init__(self, cfg, section: str, overrides: dict):
-        self.values = dict(cfg["common"]) if cfg.has_section("common") else {}
-        if cfg.has_section(section):
-            self.values.update(cfg[section])
+    def __init__(self, cfg: list, section: str, overrides: dict):
+        self.section = section
+        names = ("common", *_RUNNERS[section][0], section)
+        self.values = {}
+        for layer in cfg:
+            for name in names:
+                if layer.has_section(name):
+                    self.values.update(layer[name])
         self.values.update(overrides)
-        shipped = _load_config(None)
-        known = set(shipped["common"]) | set(shipped[section])
+        known = {key for name in names for key in cfg[0][name]}
         unknown = sorted(set(self.values) - known - set(_EXTRA_KEYS.get(section, ())))
         if unknown:
             raise ValueError(f"unknown key(s) for {section}: {', '.join(unknown)}")
 
     def get(self, key: str, fallback=None):
-        if key not in self.values:
-            return fallback
-        v = self.values[key]
-        return _parse_value(v) if isinstance(v, str) else v
+        """The parsed value of ``key``, else ``fallback``; a missing key
+        without a fallback is a ValueError naming it."""
+        if key in self.values:
+            return _parse_value(self.values[key])
+        if fallback is None:
+            raise ValueError(f"missing key for {self.section}: {key}")
+        return fallback
 
-    def get_list(self, key: str, fallback=()):
-        v = self.get(key, None)
-        if v is None:
-            return list(fallback)
+    def get_list(self, key: str) -> list:
+        v = self.get(key)
         return v if isinstance(v, list) else [v]
 
 
 def _grid_from(st: Settings):
     return make_grid(
-        int(st.get("d", 2)),
-        int(st.get("n_modes", 8)),
-        float(st.get("v_extent", 4.0)),
-        int(st.get("v_points", 16)),
+        int(st.get("d")),
+        int(st.get("n_modes")),
+        float(st.get("v_extent")),
+        int(st.get("v_points")),
     )
 
 
-def _solver_config(st: Settings) -> solver.SolverConfig:
+def _quadrature(st: Settings):
     from .collision import sphere_quadrature
 
+    return sphere_quadrature(int(st.get("d")), int(st.get("nodes")))
+
+
+def _solver_setup(st: Settings) -> tuple:
+    """(SolverConfig, perturbed Maxwellian f0) from the [solver] keys."""
     grid = _grid_from(st)
-    return solver.SolverConfig(
+    config = solver.SolverConfig(
         grid=grid,
-        T=float(st.get("T", 0.125)),
-        dt=float(st.get("dt", 0.0078125)),
-        quad=sphere_quadrature(grid.d, int(st.get("nodes", 16))),
-        max_picard=int(st.get("max_picard", 12)),
-        tol=float(st.get("tol", 1e-10)),
+        T=float(st.get("T")),
+        dt=float(st.get("dt")),
+        quad=_quadrature(st),
+        max_picard=int(st.get("max_picard")),
+        tol=float(st.get("tol")),
     )
+    mode = tuple(int(m) for m in st.get_list("mode"))
+    return config, solver.maxwellian_perturbed(grid, float(st.get("eps")), mode)
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
@@ -155,13 +163,9 @@ def _write_json(out_dir: str, name: str, payload: dict) -> str:
 
 
 def _run_simulate(st: Settings, seed: int, out_dir: str) -> int:
-    config = _solver_config(st)
-    mode = st.get_list("mode", (1, 0))
-    f0 = solver.maxwellian_perturbed(
-        config.grid, float(st.get("eps", 0.1)), tuple(int(m) for m in mode)
-    )
+    config, f0 = _solver_setup(st)
     traj, report = solver.duhamel_picard(f0, config)
-    stride = int(st.get("snapshot_stride", 8))
+    stride = int(st.get("snapshot_stride"))
     os.makedirs(out_dir, exist_ok=True)
     for j in range(0, traj.n_samples, max(1, stride)):
         save_field(traj.slice_field(j), os.path.join(out_dir, f"snapshot_{j:05d}.kfl"))
@@ -177,51 +181,58 @@ def _run_simulate(st: Settings, seed: int, out_dir: str) -> int:
     return 0 if report.converged else 2
 
 
-def _slope_by_group(report, group_col: str, x_col: str) -> float:
-    worst = -np.inf
-    groups = sorted(set(report.column(group_col)))
-    for gval in groups:
-        xs, ys = {}, {}
-        for row in report.rows:
-            rd = dict(zip(report.columns, row))
-            if rd[group_col] != gval:
-                continue
-            x = rd[x_col]
-            ys[x] = max(ys.get(x, 0.0), rd["ratio"])
-        if len(ys) >= 2:
-            worst = max(worst, lab.loglog_slope(sorted(ys), [ys[k] for k in sorted(ys)]))
-    return float(worst)
+def _max_slope(report, x_col: str, group_col: str | None = None):
+    """Largest log-log slope against ``x_col`` of the per-x maximum ratio,
+    over the groups of ``group_col`` (one group if None); None when no
+    group has two x values."""
+    groups = {}
+    for row in report.rows:
+        rd = dict(zip(report.columns, row))
+        ys = groups.setdefault(rd[group_col] if group_col else None, {})
+        ys[rd[x_col]] = max(ys.get(rd[x_col], 0.0), rd["ratio"])
+    slopes = [
+        lab.loglog_slope(sorted(ys), [ys[x] for x in sorted(ys)])
+        for ys in groups.values()
+        if len(ys) >= 2
+    ]
+    return max(slopes) if slopes else None
+
+
+def _slope_gate(st: Settings, slope) -> int:
+    return 0 if slope is None or slope <= float(st.get("slope_max")) else 2
 
 
 def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
-    grid = _grid_from(st)
     report = lab.strichartz_scan(
-        grid,
-        Ns=st.get_list("Ns", (2, 4, 8)),
-        Ms=st.get_list("Ms", (1, 2)),
-        trials=int(st.get("trials", 3)),
-        T=float(st.get("T", 1.0)),
+        _grid_from(st),
+        Ns=st.get_list("Ns"),
+        Ms=st.get_list("Ms"),
+        trials=int(st.get("trials")),
+        T=float(st.get("T")),
         seed=seed,
-        n_time=int(st.get("n_time", 9)),
+        n_time=int(st.get("n_time")),
     )
     report.write(out_dir)
-    slope = _slope_by_group(report, "M", "N")
+    slope = _max_slope(report, "N", "M")
     _write_json(out_dir, "strichartz_summary.json", {"max_slope_vs_N": slope})
-    return 0 if slope <= float(st.get("slope_max", 0.05)) else 2
+    return _slope_gate(st, slope)
 
 
 def _run_bilinear(st: Settings, seed: int, out_dir: str) -> int:
-    grid = _grid_from(st)
+    K1s, K2s = st.get_list("K1s"), st.get_list("K2s")
+    if set(K1s) != set(K2s):
+        # the gate compares each (K1, K2) ratio with its (K2, K1) swap
+        raise ValueError(f"K1s and K2s must hold the same values, got {K1s} and {K2s}")
     report = lab.bilinear_modulation_check(
-        grid,
-        N=int(st.get("N", 4)),
-        M=int(st.get("M", 2)),
-        K1s=st.get_list("K1s", (1, 2)),
-        K2s=st.get_list("K2s", (1, 2)),
-        trials=int(st.get("trials", 2)),
+        _grid_from(st),
+        N=int(st.get("N")),
+        M=int(st.get("M")),
+        K1s=K1s,
+        K2s=K2s,
+        trials=int(st.get("trials")),
         seed=seed,
-        t_half=float(st.get("t_half", 4.0)),
-        n_samples=int(st.get("n_samples", 32)),
+        t_half=float(st.get("t_half")),
+        n_samples=int(st.get("n_samples")),
     )
     report.write(out_dir)
     by_key = {}
@@ -231,68 +242,67 @@ def _run_bilinear(st: Settings, seed: int, out_dir: str) -> int:
     defect = max(
         abs(v - by_key[(k2, k1, tr)]) for (k1, k2, tr), v in by_key.items()
     )
-    return 0 if defect <= float(st.get("swap_tol", 1e-9)) else 2
+    return 0 if defect <= float(st.get("swap_tol")) else 2
 
 
-def _run_bilinear_collision(st: Settings, seed: int, out_dir: str, which: str) -> int:
-    grid = _grid_from(st)
-    kwargs = dict(
-        s=float(st.get("s", 0.8)),
-        r=float(st.get("r", 1.05)),
-        Ts=st.get_list("Ts", (0.125, 0.25, 0.5)),
-        trials=int(st.get("trials", 2)),
+def _run_estimate(st: Settings, seed: int, out_dir: str, check, **extra) -> int:
+    """loss-check and gain-check: ``check`` over the (T, trial) sweep,
+    failing when a positive ratio_cap is exceeded."""
+    report = check(
+        _grid_from(st),
+        s=float(st.get("s")),
+        r=float(st.get("r")),
+        Ts=st.get_list("Ts"),
+        trials=int(st.get("trials")),
         seed=seed,
+        **extra,
     )
-    if which == "loss":
-        report = lab.loss_estimate_check(grid, **kwargs)
-    else:
-        from .collision import sphere_quadrature
-
-        report = lab.gain_estimate_check(
-            grid, quad=sphere_quadrature(grid.d, int(st.get("nodes", 16))), **kwargs
-        )
     report.write(out_dir)
-    cap = float(st.get("ratio_cap", 0))
+    cap = float(st.get("ratio_cap"))
     if cap > 0 and max(report.column("ratio")) > cap:
         return 2
     return 0
 
 
-def _run_holder(st: Settings, seed: int, out_dir: str) -> int:
-    grid = _grid_from(st)
-    from .collision import sphere_quadrature
+def _run_loss(st: Settings, seed: int, out_dir: str) -> int:
+    return _run_estimate(st, seed, out_dir, lab.loss_estimate_check)
 
+
+def _run_gain(st: Settings, seed: int, out_dir: str) -> int:
+    return _run_estimate(st, seed, out_dir, lab.gain_estimate_check, quad=_quadrature(st))
+
+
+def _run_holder(st: Settings, seed: int, out_dir: str) -> int:
     report = lab.holder_gain_check(
-        grid,
-        p=float(st.get("p", 4.0)),
-        q=float(st.get("q", 4.0)),
-        trials=int(st.get("trials", 2)),
+        _grid_from(st),
+        p=float(st.get("p")),
+        q=float(st.get("q")),
+        trials=int(st.get("trials")),
         seed=seed,
-        quad=sphere_quadrature(grid.d, int(st.get("nodes", 16))),
+        quad=_quadrature(st),
     )
     report.write(out_dir)
     return 0
 
 
 def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
-    grid = _grid_from(st)
-    b = float(st.get("b", 0.55))
+    b = float(st.get("b"))
     report = lab.linear_xsb_checks(
-        grid,
-        s=float(st.get("s", 0.0)),
-        r=float(st.get("r", 0.0)),
+        _grid_from(st),
+        s=float(st.get("s")),
+        r=float(st.get("r")),
         b=b,
         seed=seed,
-        t_half=float(st.get("t_half", 2.0)),
-        n_samples=int(st.get("n_samples", 129)),
+        t_half=float(st.get("t_half")),
+        n_samples=int(st.get("n_samples")),
     )
     report.write(out_dir)
     scaling = lab.psi_delta_scaling(b=b)
     scaling.write(out_dir)
     rows = {row[0]: row for row in report.rows}
     b2_err = abs(rows["b2"][3] - report.extra["b2_oracle"]) / report.extra["b2_oracle"]
-    tol = float(st.get("b2_tol", 1e-6))
-    etol = float(st.get("exponent_tol", 0.05))
+    tol = float(st.get("b2_tol"))
+    etol = float(st.get("exponent_tol"))
     ok = (
         b2_err <= tol
         and abs(scaling.extra["slope_l2"] - 0.5) <= etol
@@ -302,44 +312,31 @@ def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
-    single = all(st.get(k) is not None for k in ("N", "M", "K"))
-    if single:
-        Ns, Ms, Ks = [int(st.get("N"))], [int(st.get("M"))], [int(st.get("K"))]
-        # single-cell mode defaults to one query regardless of the sweep
-        # section's queries_per_cell
+    if all(k in st.values for k in ("N", "M", "K")):
+        # one cell when N, M and K are all given, with one query
+        # regardless of the sweep section's queries_per_cell
+        Ns, Ms, Ks = ([int(st.get(k))] for k in ("N", "M", "K"))
         queries = int(st.get("queries", 1))
     else:
-        Ns = [int(x) for x in st.get_list("Ns", (4, 8, 16, 32, 64))]
-        Ms = [int(x) for x in st.get_list("Ms", (1, 2, 4, 8, 16))]
-        Ks = [int(x) for x in st.get_list("Ks", (1, 2, 4))]
-        queries = int(st.get("queries_per_cell", 100))
+        Ns, Ms, Ks = ([int(x) for x in st.get_list(k)] for k in ("Ns", "Ms", "Ks"))
+        queries = int(st.get("queries_per_cell"))
     report = counting.counting_sweep(
         Ns=Ns,
         Ms=Ms,
         Ks=Ks,
         queries_per_cell=queries,
-        mc_samples=int(st.get("mc_samples", 10_000)),
+        mc_samples=int(st.get("mc_samples")),
         seed=seed,
-        d=int(st.get("d", 2)),
+        d=int(st.get("d")),
     )
     report.write(out_dir)
-    if single or len(Ns) < 2:
-        return 0
-    by_n = {}
-    for row in report.rows:
-        rd = dict(zip(report.columns, row))
-        by_n[rd["N"]] = max(by_n.get(rd["N"], 0.0), rd["ratio"])
-    slope = lab.loglog_slope(sorted(by_n), [by_n[k] for k in sorted(by_n)])
+    slope = _max_slope(report, "N")
     _write_json(out_dir, "counting_summary.json", {"max_ratio_slope_vs_N": slope})
-    return 0 if slope <= float(st.get("slope_max", 0.1)) else 2
+    return _slope_gate(st, slope)
 
 
 def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
-    config = _solver_config(st)
-    mode = st.get_list("mode", (1, 0))
-    f0 = solver.maxwellian_perturbed(
-        config.grid, float(st.get("eps", 0.1)), tuple(int(m) for m in mode)
-    )
+    config, f0 = _solver_setup(st)
     traj, report = solver.duhamel_picard(f0, config)
     cons = solver.conservation_drift(traj, t_limit=report.t_final)
     payload = {k: cons[k] for k in ("mass_drift", "momentum_drift", "energy_drift")}
@@ -347,39 +344,37 @@ def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
     _write_json(out_dir, "conservation.json", payload)
     ok = (
         report.converged
-        and cons["mass_drift"] <= float(st.get("mass_tol", 1e-10))
-        and cons["momentum_drift"] <= float(st.get("moment_tol", 1e-3))
-        and cons["energy_drift"] <= float(st.get("moment_tol", 1e-3))
+        and cons["mass_drift"] <= float(st.get("mass_tol"))
+        and cons["momentum_drift"] <= float(st.get("moment_tol"))
+        and cons["energy_drift"] <= float(st.get("moment_tol"))
     )
     return 0 if ok else 2
 
 
 def _run_perturbation(st: Settings, seed: int, out_dir: str) -> int:
-    config = _solver_config(st)
-    mode = st.get_list("mode", (1, 0))
-    f0 = solver.maxwellian_perturbed(
-        config.grid, float(st.get("eps", 0.1)), tuple(int(m) for m in mode)
-    )
-    deltas = [float(x) for x in st.get_list("deltas", (1e-2, 1e-3, 1e-4))]
+    config, f0 = _solver_setup(st)
+    deltas = [float(x) for x in st.get_list("deltas")]
     report = solver.perturbation_experiment(f0, config, deltas=deltas, seed=seed)
     report.write(out_dir)
     ratios = report.column("ratio")
     factor = max(ratios) / min(ratios) if min(ratios) > 0 else np.inf
-    return 0 if factor <= float(st.get("stability_factor", 2.0)) else 2
+    return 0 if factor <= float(st.get("stability_factor")) else 2
 
 
+# experiment -> (shipped sections read between [common] and its own, runner)
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "strichartz-scan": _run_strichartz,
-    "bilinear-check": _run_bilinear,
-    "loss-check": lambda st, s, o: _run_bilinear_collision(st, s, o, "loss"),
-    "gain-check": lambda st, s, o: _run_bilinear_collision(st, s, o, "gain"),
-    "holder-check": _run_holder,
-    "linear-check": _run_linear,
-    "counting-check": _run_counting,
-    "conservation-check": _run_conservation,
-    "perturbation-check": _run_perturbation,
+    "simulate": (("solver",), _run_simulate),
+    "strichartz-scan": ((), _run_strichartz),
+    "bilinear-check": ((), _run_bilinear),
+    "loss-check": ((), _run_loss),
+    "gain-check": ((), _run_gain),
+    "holder-check": ((), _run_holder),
+    "linear-check": ((), _run_linear),
+    "counting-check": ((), _run_counting),
+    "conservation-check": (("solver",), _run_conservation),
+    "perturbation-check": (("solver",), _run_perturbation),
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(argv=None) -> int:
@@ -393,15 +388,10 @@ def run(argv=None) -> int:
     args, rest = parser.parse_known_args(argv)
     try:
         overrides = _collect_overrides(rest)
-        cfg = _load_config(args.config)
-        st = Settings(cfg, args.experiment, overrides)
-        seed = args.seed if args.seed is not None else int(st.get("seed", 0))
-        out_dir = (
-            args.out_dir
-            or os.environ.get("KFL_OUT_DIR")
-            or str(st.get("out_dir", "kflab_out"))
-        )
-        return _RUNNERS[args.experiment](st, seed, out_dir)
+        st = Settings(_load_config(args.config), args.experiment, overrides)
+        seed = args.seed if args.seed is not None else int(st.get("seed"))
+        out_dir = args.out_dir or os.environ.get("KFL_OUT_DIR") or str(st.get("out_dir"))
+        return _RUNNERS[args.experiment][1](st, seed, out_dir)
     except (ValueError, FileNotFoundError, FloatingPointError, RuntimeError, KeyError) as exc:
         print(f"kflab: error: {exc}", file=sys.stderr)
         return 1

@@ -71,15 +71,15 @@ class SphereQuadrature:
             return self.weights
         return self.weights * self.kernel
 
-    def antipode_map(self) -> np.ndarray | None:
-        """Index map j -> j' with node[j'] == -node[j], or None if the
-        node set is not antipodally symmetric."""
+    def antipode_map(self) -> np.ndarray:
+        """Index map j -> j' with node[j'] == -node[j]; a ValueError if
+        the node set is not antipodally symmetric."""
         out = np.empty(self.n_nodes, dtype=np.int64)
         for j, w in enumerate(self.nodes):
             dist = np.linalg.norm(self.nodes + w, axis=1)
             k = int(np.argmin(dist))
             if dist[k] > 1e-12:
-                return None
+                raise ValueError("quadrature nodes are not antipodally symmetric")
             out[j] = k
         return out
 
@@ -87,13 +87,16 @@ class SphereQuadrature:
 def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
     """Quadrature on S^(d-1): uniform angles for d=2 (spectrally accurate),
     Gauss-Legendre (polar) x uniform (azimuthal) product rule for d=3.
+    Both are antipodally symmetric, which the gain kernel needs.
 
-    For d=3 the node count is rounded to the nearest n_polar * 2*n_polar
-    product structure.
+    For d=2 the node count must be even.  For d=3 it is rounded to the
+    nearest n_polar * 2*n_polar product structure.
     """
     if n_nodes < 4:
         raise ValueError(f"need at least 4 nodes, got {n_nodes}")
     if d == 2:
+        if n_nodes % 2:
+            raise ValueError(f"d=2 needs an even node count, got {n_nodes}")
         theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         weights = np.full(n_nodes, 2.0 * np.pi / n_nodes)
@@ -170,8 +173,7 @@ def _unflatten_xv(grid: GridSpec, cols: np.ndarray, m: int) -> np.ndarray:
 # gain call per sweep, so the cache saves one build per sweep; the cap
 # keeps large grids from holding them between calls.  The check counts
 # n_nodes complex P^d x P^d matrices; the n_nodes/2 real stacks take
-# about half of that.  A node set without antipodal symmetry caches its
-# n_nodes xi+ matrices instead.  One slot.
+# about half of that.  One slot.
 
 _MAT_CACHE: dict = {}
 _MAT_CACHE_CAP_BYTES = 500_000_000
@@ -185,32 +187,11 @@ def _quad_key(quad: SphereQuadrature) -> tuple:
     return (quad.d, quad.nodes.tobytes(), quad.weights.tobytes(), kern)
 
 
-def _cached(grid: GridSpec, quad: SphereQuadrature, build):
-    """The cache slot's entry for (grid, quad), made by ``build()`` on a
-    miss, or None when n_nodes node matrices would exceed the cap."""
-    n_pts = grid.v_points**grid.d
-    if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
-        return None
-    key = (grid, _quad_key(quad))
-    entry = _MAT_CACHE.get(key)
-    if entry is None:
-        entry = build()
-        _MAT_CACHE.clear()
-        _MAT_CACHE[key] = entry
-    return entry
-
-
 def _plus_points(grid: GridSpec, omega: np.ndarray) -> np.ndarray:
     """xi+ = (xi + |xi| omega)/2 over the xi-grid, shape (P^d, d)."""
     xi = grid.xi_vectors()
     radius = np.linalg.norm(xi, axis=1)
     return 0.5 * (xi + radius[:, None] * omega)
-
-
-def _node_matrix(grid: GridSpec, omega: np.ndarray) -> np.ndarray:
-    """Evaluation matrix at xi+ = (xi + |xi| omega)/2 over the xi-grid;
-    xi- for omega is xi+ for -omega."""
-    return xi_phase_matrix(grid, _plus_points(grid, omega))
 
 
 def _mirror_rows(grid: GridSpec):
@@ -245,21 +226,20 @@ def _fill_pair_stack(
 def _pair_stacks(
     grid: GridSpec, quad: SphereQuadrature, pairs: list, nyq: np.ndarray
 ):
-    """The stacks of ``pairs`` in order: the cached list, or, when the
-    node matrices would exceed the cap, one buffer refilled per pair."""
+    """The stacks of ``pairs`` in order: the cached list (built on a
+    miss), or, when n_nodes node matrices would exceed the cap, one
+    buffer refilled per pair."""
     n_pts = grid.v_points**grid.d
     shape = (2 * (n_pts + nyq.size), n_pts)
-    stacks = _cached(
-        grid,
-        quad,
-        lambda: [
-            _fill_pair_stack(grid, quad.nodes[j], nyq, np.empty(shape)) for j, _ in pairs
-        ],
-    )
-    if stacks is None:
+    if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
         buf = np.empty(shape)
         return (_fill_pair_stack(grid, quad.nodes[j], nyq, buf) for j, _ in pairs)
-    return stacks
+    key = (grid, _quad_key(quad))
+    if key not in _MAT_CACHE:
+        stacks = [_fill_pair_stack(grid, quad.nodes[j], nyq, np.empty(shape)) for j, _ in pairs]
+        _MAT_CACHE.clear()
+        _MAT_CACHE[key] = stacks
+    return _MAT_CACHE[key]
 
 
 def _pair_values(stack: np.ndarray, cols: np.ndarray, gather: np.ndarray):
@@ -282,9 +262,9 @@ def _gain_columns(
     """Gain on the v-grid for flattened column data (P^d, ncols).
 
     Antipodal node pairs share one stack and one real product per column
-    block (_pair_values).  A node set without antipodal symmetry falls
-    back to one complex product per node and side, with the xi+ matrices
-    cached.  The xi-grid sum returns to v in place by the FFT of xi_to_v.
+    block (_pair_values); a node set without antipodal symmetry is a
+    ValueError.  The xi-grid sum returns to v in place by the FFT of
+    xi_to_v.
     """
     anti = quad.antipode_map()
     w = quad.effective_weights()
@@ -292,30 +272,24 @@ def _gain_columns(
     fv = np.ascontiguousarray(fv)
     gv = fv if same else np.ascontiguousarray(gv)
     gain_xi = np.zeros(fv.shape, dtype=np.complex128)
-    if anti is None:
-        mats = _cached(grid, quad, lambda: [_node_matrix(grid, om) for om in quad.nodes])
-        for j, omega in enumerate(quad.nodes):
-            fp = (mats[j] if mats is not None else _node_matrix(grid, omega)) @ fv
-            gain_xi += w[j] * fp * (_node_matrix(grid, -omega) @ gv)
-    else:
-        pairs = [(j, int(k)) for j, k in enumerate(anti) if j < k]
-        nyq, gather = _mirror_rows(grid)
-        for (j, k), stack in zip(pairs, _pair_stacks(grid, quad, pairs, nyq)):
-            for c0 in range(0, fv.shape[1], _GAIN_BLOCK):
-                sl = slice(c0, c0 + _GAIN_BLOCK)
-                fj, fk = _pair_values(stack, fv[:, sl], gather)
-                if same:
-                    # node j gives w_j fj fk, node k gives w_k fk fj
-                    fj *= fk
-                    fj *= w[j] + w[k]
-                else:
-                    gj, gk = _pair_values(stack, gv[:, sl], gather)
-                    fj *= gk
-                    fj *= w[j]
-                    fk *= gj
-                    fk *= w[k]
-                    fj += fk
-                gain_xi[:, sl] += fj
+    pairs = [(j, int(k)) for j, k in enumerate(anti) if j < k]
+    nyq, gather = _mirror_rows(grid)
+    for (j, k), stack in zip(pairs, _pair_stacks(grid, quad, pairs, nyq)):
+        for c0 in range(0, fv.shape[1], _GAIN_BLOCK):
+            sl = slice(c0, c0 + _GAIN_BLOCK)
+            fj, fk = _pair_values(stack, fv[:, sl], gather)
+            if same:
+                # node j gives w_j fj fk, node k gives w_k fk fj
+                fj *= fk
+                fj *= w[j] + w[k]
+            else:
+                gj, gk = _pair_values(stack, gv[:, sl], gather)
+                fj *= gk
+                fj *= w[j]
+                fk *= gj
+                fk *= w[k]
+                fj += fk
+            gain_xi[:, sl] += fj
 
     p, d = grid.v_points, grid.d
     gain_v = _xi_to_v_inplace(grid, gain_xi.reshape((p,) * d + (-1,)), tuple(range(d)))

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from kflab.cli import Settings, _load_config, run
+from kflab import cli
+from kflab.cli import _RUNNERS, Settings, _load_config, run
 
 
 def _simulate_args(out_dir, extra=()):
@@ -137,3 +138,84 @@ def test_every_key_read_is_accepted(experiment, tmp_path, monkeypatch, capsys):
         assert {"max_picard", "tol"} <= read
     # raises ValueError if any key read is not accepted
     Settings(_load_config(None), experiment, {k: "0" for k in read})
+
+
+def test_shipped_sections_match_the_table():
+    # every experiment's sections ship, none is left over, and no key is
+    # set in two sections one experiment reads
+    shipped = _load_config(None)[0]
+    read = {"common"}
+    for experiment, (shared, _) in _RUNNERS.items():
+        names = ("common", *shared, experiment)
+        assert all(shipped.has_section(name) for name in names), experiment
+        read.update(names)
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                assert not set(shipped[a]) & set(shipped[b]), (experiment, a, b)
+    assert set(shipped.sections()) == read
+
+
+_SOLVER_RUNS = ("simulate", "conservation-check", "perturbation-check")
+
+
+def test_solver_section_layering(tmp_path, capsys):
+    cfg = tmp_path / "user.cfg"
+    cfg.write_text("[solver]\nn_modes = 4\nnodes = 8\n[simulate]\nn_modes = 2\n")
+    layers = _load_config(str(cfg))
+    for experiment in _SOLVER_RUNS:
+        st = Settings(layers, experiment, {})
+        # a user [solver] key reaches every solver experiment ...
+        assert st.get("nodes") == 8
+        # ... and an experiment section overrides it
+        assert st.get("n_modes") == (2 if experiment == "simulate" else 4)
+        assert st.get("max_picard") == 12  # shipped [solver]
+    assert Settings(layers, "simulate", {"n_modes": "6"}).get("n_modes") == 6
+    # solver keys are unknown to the other experiments
+    out = tmp_path / "out"
+    assert run(["strichartz-scan", "--out-dir", str(out), "max_picard=3"]) == 1
+    assert "max_picard" in capsys.readouterr().err
+    cfg.write_text("[strichartz-scan]\ntol = 1e-3\n")
+    assert run(["strichartz-scan", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_key_exit_1(tmp_path, monkeypatch, capsys):
+    load = cli._load_config
+
+    def without_b(path):
+        layers = load(path)
+        layers[0].remove_option("linear-check", "b")
+        return layers
+
+    monkeypatch.setattr(cli, "_load_config", without_b)
+    code = run(["linear-check", "--out-dir", str(tmp_path)] + _TINY_RUNS["linear-check"])
+    assert code == 1
+    assert "missing key for linear-check: b" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_slope_summaries_are_strict_json(tmp_path):
+    # one N per M group, and a single counting cell: no slope to report
+    out = tmp_path / "strichartz"
+    assert run(["strichartz-scan", "--out-dir", str(out)] + _TINY_RUNS["strichartz-scan"]) == 0
+    assert _strict_json(out / "strichartz_summary.json") == {"max_slope_vs_N": None}
+    out = tmp_path / "counting"
+    assert run(["counting-check", "--out-dir", str(out), "N=1", "M=1", "K=1"]) == 0
+    assert _strict_json(out / "counting_summary.json") == {"max_ratio_slope_vs_N": None}
+
+
+def test_bilinear_unequal_k_lists_exit_1(tmp_path, capsys):
+    out = tmp_path / "bilinear"
+    argv = [a for a in _TINY_RUNS["bilinear-check"] if not a.startswith("K1s=")]
+    code = run(["bilinear-check", "--out-dir", str(out), "K1s=1,2"] + argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "K1s" in err and "K2s" in err
+    assert not out.exists()

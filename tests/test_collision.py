@@ -208,7 +208,7 @@ def _dense_gain(grid, quad, fv, gv):
 
 @pytest.mark.parametrize("d, v_points", [(2, 8), (2, 16), (3, 8)])
 def test_phase_matrix_matches_dense_exp(d, v_points):
-    from kflab.collision import _node_matrix
+    from kflab.collision import _plus_points
     from kflab.grid import xi_phase_matrix
 
     g = make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0)
@@ -216,7 +216,8 @@ def test_phase_matrix_matches_dense_exp(d, v_points):
     radius = np.linalg.norm(xi, axis=1)[:, None]
     for omega in sphere_quadrature(d, 8 if d == 2 else 18).nodes[:3]:
         pts = 0.5 * (xi + radius * omega)
-        assert _rel(_node_matrix(g, omega), _dense_phase(g, pts)) <= 1e-13
+        mat = xi_phase_matrix(g, _plus_points(g, omega))
+        assert _rel(mat, _dense_phase(g, pts)) <= 1e-13
     pts = np.random.default_rng(8).uniform(-5.0, 5.0, (50, d))
     assert _rel(xi_phase_matrix(g, pts), _dense_phase(g, pts)) <= 1e-13
 
@@ -247,15 +248,23 @@ def test_gain_columns_match_dense(d, v_points, n_nodes):
     assert _rel(fused, _dense_gain(g, quad, fv, fv)) <= 1e-13
 
 
-def test_gain_odd_node_count_matches_dense():
-    from kflab.collision import _gain_columns
+def test_gain_odd_node_count_rejected():
+    from kflab import SphereQuadrature
+    from kflab.collision import _gain_columns, collide_trajectory
 
-    g = make_grid(d=2, n_modes=2, v_points=16, v_extent=6.0)
-    quad = sphere_quadrature(2, 15)
-    assert quad.antipode_map() is None
-    fv, gv = _columns(g, 12), _columns(g, 13)
-    assert _rel(_gain_columns(g, quad, fv, gv), _dense_gain(g, quad, fv, gv)) <= 1e-13
-    assert _rel(_gain_columns(g, quad, fv, fv), _dense_gain(g, quad, fv, fv)) <= 1e-13
+    with pytest.raises(ValueError, match="even"):
+        sphere_quadrature(2, 15)
+    # a hand-built odd circle rule has no antipodal pairs
+    theta = 2.0 * np.pi * np.arange(15) / 15
+    nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    quad = SphereQuadrature(2, nodes, np.full(15, 2.0 * np.pi / 15))
+    g = make_grid(d=2, n_modes=2, v_points=8, v_extent=6.0)
+    fv = _columns(g, 12)
+    with pytest.raises(ValueError, match="antipodal"):
+        _gain_columns(g, quad, fv, fv)
+    stack = _random_nonneg(g, 13).data[None]
+    with pytest.raises(ValueError, match="antipodal"):
+        collide_trajectory(stack, g, quad)
 
 
 def test_collide_matches_dense_gain():
@@ -295,12 +304,11 @@ def test_gain_columns_blocks_match_dense(d, v_points, n_nodes):
     assert _rel(_gain_columns(g, quad, fv, fv), _dense_gain(g, quad, fv, fv)) <= 1e-13
 
 
-@pytest.mark.parametrize("n_nodes", [16, 15])  # antipodal pairs; the odd-count branch
-def test_gain_cache_bypass_matches_cached(monkeypatch, n_nodes):
+def test_gain_cache_bypass_matches_cached(monkeypatch):
     from kflab import collision
 
     g = make_grid(d=2, n_modes=2, v_points=16, v_extent=6.0)
-    quad = sphere_quadrature(2, n_nodes)
+    quad = sphere_quadrature(2, 16)
     ncols = collision._GAIN_BLOCK + 5
     fv, gv = _columns(g, 18, ncols), _columns(g, 19, ncols)
     collision._MAT_CACHE.clear()
