@@ -6,6 +6,8 @@ interaction-picture integrator, then audit positivity and the
 conserved moments.  Runs in about two minutes on one core.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from kflab import (
@@ -37,7 +39,7 @@ def main() -> None:
 
     print("Independent cross-check (interaction-picture one-step method)")
     Tf = report.t_final
-    rk_config = SolverConfig(grid=grid, T=Tf, dt=traj.dt, quad=quad)
+    rk_config = replace(config, T=Tf, dt=traj.dt)
     rk = integrate_interaction_picture(f0, rk_config)
     print(f"  sup L2 difference on |t| <= {Tf}: {sup_l2_difference(traj, rk):.3e}")
 

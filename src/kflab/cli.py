@@ -6,7 +6,8 @@ Usage:
 Every default lives in the shipped ``defaults.cfg``.  An experiment reads
 ``[common]``, then ``[solver]`` if it runs the solver, then its own
 section; the same sections of the user config file, then KEY=VALUE (or
---KEY VALUE) overrides, are layered on top.  Output root resolution:
+--KEY VALUE) overrides, are layered on top.  A user section or key that
+the shipped file does not have is an error.  Output root resolution:
 --out-dir, else $KFL_OUT_DIR, else the configured out_dir.  Exit codes:
 0 pass, 2 bounded-ratio regression failure, 1 error.
 """
@@ -25,10 +26,6 @@ import numpy as np
 from . import counting, lab, solver
 from .grid import make_grid, save_field
 
-# counting-check's single-cell mode reads these keys, which its shipped
-# section (a sweep) does not list
-_EXTRA_KEYS = {"counting-check": ("N", "M", "K", "queries")}
-
 
 def _parser() -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
@@ -37,7 +34,9 @@ def _parser() -> configparser.ConfigParser:
 
 
 def _load_config(config_path: str | None) -> list:
-    """The parsed shipped defaults, then the user config file if given."""
+    """The parsed shipped defaults, then the user config file if given;
+    a user section that the shipped file does not have is a ValueError
+    naming it."""
     shipped = _parser()
     with resources.files("kflab").joinpath("data/defaults.cfg").open() as fh:
         shipped.read_file(fh)
@@ -47,6 +46,9 @@ def _load_config(config_path: str | None) -> list:
         raise FileNotFoundError(f"config file not found: {config_path}")
     user = _parser()
     user.read(config_path)
+    unknown = sorted(set(user.sections()) - set(shipped.sections()))
+    if unknown:
+        raise ValueError(f"unknown section(s) in {config_path}: {', '.join(unknown)}")
     return [shipped, user]
 
 
@@ -90,9 +92,9 @@ class Settings:
     ``cfg`` is the list from ``_load_config``.  Each of its files
     contributes ``[common]``, the experiment's shared sections in
     ``_RUNNERS`` and its own section, in that order; the overrides come
-    last.  Every key must be one those shipped sections list, or one of
-    ``_EXTRA_KEYS``.  Any other key, from the command line or the user
-    config file, is a ValueError naming it.
+    last.  Every key must be one those shipped sections list.  Any other
+    key, from the command line or the user config file, is a ValueError
+    naming it.
     """
 
     def __init__(self, cfg: list, section: str, overrides: dict):
@@ -105,18 +107,16 @@ class Settings:
                     self.values.update(layer[name])
         self.values.update(overrides)
         known = {key for name in names for key in cfg[0][name]}
-        unknown = sorted(set(self.values) - known - set(_EXTRA_KEYS.get(section, ())))
+        unknown = sorted(set(self.values) - known)
         if unknown:
             raise ValueError(f"unknown key(s) for {section}: {', '.join(unknown)}")
 
-    def get(self, key: str, fallback=None):
-        """The parsed value of ``key``, else ``fallback``; a missing key
-        without a fallback is a ValueError naming it."""
-        if key in self.values:
-            return _parse_value(self.values[key])
-        if fallback is None:
+    def get(self, key: str):
+        """The parsed value of ``key``; a missing key is a ValueError
+        naming it."""
+        if key not in self.values:
             raise ValueError(f"missing key for {self.section}: {key}")
-        return fallback
+        return _parse_value(self.values[key])
 
     def get_list(self, key: str) -> list:
         v = self.get(key)
@@ -312,19 +312,12 @@ def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
-    if all(k in st.values for k in ("N", "M", "K")):
-        # one cell when N, M and K are all given, with one query
-        # regardless of the sweep section's queries_per_cell
-        Ns, Ms, Ks = ([int(st.get(k))] for k in ("N", "M", "K"))
-        queries = int(st.get("queries", 1))
-    else:
-        Ns, Ms, Ks = ([int(x) for x in st.get_list(k)] for k in ("Ns", "Ms", "Ks"))
-        queries = int(st.get("queries_per_cell"))
+    Ns, Ms, Ks = ([int(x) for x in st.get_list(k)] for k in ("Ns", "Ms", "Ks"))
     report = counting.counting_sweep(
         Ns=Ns,
         Ms=Ms,
         Ks=Ks,
-        queries_per_cell=queries,
+        queries_per_cell=int(st.get("queries_per_cell")),
         mc_samples=int(st.get("mc_samples")),
         seed=seed,
         d=int(st.get("d")),

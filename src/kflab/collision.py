@@ -5,7 +5,8 @@ term is a sphere-quadrature sum of ``ftil(xi_plus) * gtil(xi_minus)``
 with ``xi_pm = (xi +- |xi| omega)/2``, the loss term is
 ``area * ftil(xi) * gtil(0)``.  The slow reference path integrates the
 physical-space scattering formula directly on the velocity grid with
-multilinear interpolation and zero extension.
+multilinear interpolation and zero extension; its scattering map is the
+same for omega and -omega, so it too visits antipodal node pairs.
 
 The gain evaluates ftil off-grid by exact trigonometric sums, one
 matrix per sphere node.  For an antipodal node pair omega_k = -omega_j
@@ -53,23 +54,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Nodes and positive weights on the unit sphere, weights summing to
-    the full surface measure.  ``kernel`` is an optional per-node weight
-    for non-constant angular kernels."""
+    """Nodes and weights on the unit sphere.  sphere_quadrature's weights
+    are positive and sum to the full surface measure; a non-constant
+    angular kernel is folded into the weights, which then need not be
+    equal on antipodal nodes."""
 
     d: int
     nodes: np.ndarray
     weights: np.ndarray
-    kernel: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
         return len(self.weights)
-
-    def effective_weights(self) -> np.ndarray:
-        if self.kernel is None:
-            return self.weights
-        return self.weights * self.kernel
 
     def antipode_map(self) -> np.ndarray:
         """Index map j -> j' with node[j'] == -node[j]; a ValueError if
@@ -183,8 +179,7 @@ _GAIN_BLOCK = 256
 
 
 def _quad_key(quad: SphereQuadrature) -> tuple:
-    kern = None if quad.kernel is None else quad.kernel.tobytes()
-    return (quad.d, quad.nodes.tobytes(), quad.weights.tobytes(), kern)
+    return (quad.d, quad.nodes.tobytes(), quad.weights.tobytes())
 
 
 def _plus_points(grid: GridSpec, omega: np.ndarray) -> np.ndarray:
@@ -267,7 +262,7 @@ def _gain_columns(
     xi_to_v.
     """
     anti = quad.antipode_map()
-    w = quad.effective_weights()
+    w = quad.weights
     same = gv is fv
     fv = np.ascontiguousarray(fv)
     gv = fv if same else np.ascontiguousarray(gv)
@@ -357,7 +352,7 @@ def _collide_stack(stack, grid, quad, dealias, active):
             grid, _synthesize_padded(fld, m), m
         )
     q_v = _gain_columns(grid, quad, cols, cols)
-    area = float(np.sum(quad.effective_weights()))
+    area = float(np.sum(quad.weights))
     for pos, j in enumerate(idx):
         sl = slice(pos * n_x, (pos + 1) * n_x)
         mass = grid.dv**grid.d * cols[:, sl].sum(axis=0)
@@ -417,21 +412,24 @@ def _interp_matrix(grid: GridSpec, points: np.ndarray) -> sparse.csr_matrix:
     )
 
 
+# x-nodes per interpolation product of the oracle
+_ORACLE_X_CHUNK = 8
+
+
 def gain_direct_oracle(
-    f: PhaseField,
-    g: PhaseField,
-    quad: SphereQuadrature,
-    dealias: bool = True,
-    x_chunk: int = 8,
+    f: PhaseField, g: PhaseField, quad: SphereQuadrature, dealias: bool = True
 ) -> PhaseField:
     """Slow reference gain term: physical-space scattering quadrature.
 
     Per x-node, sums ``dv^d * w_j * f(v - (omega.(v-u)) omega)
     * g(u + (omega.(v-u)) omega)`` over the velocity grid and sphere
     nodes with multilinear interpolation (zero outside the box).
-    Cost O(v_points^(2d) * n_nodes) per x-node.
+    Cost O(v_points^(2d) * n_nodes / 2) per x-node.
 
-    The scattering endpoints satisfy u*(v, u) = v*(u, v), so one
+    The scattering map v* = v - ((v-u).omega) omega is the same for
+    omega and -omega, so each antipodal node pair (j, k) takes one term
+    weighted w_j + w_k; a node set without antipodal symmetry is a
+    ValueError.  The endpoints satisfy u*(v, u) = v*(u, v), so one
     interpolation operator serves both factors (the second with the
     (v, u) axes swapped).  Interpolation runs in single precision; the
     interpolation error dwarfs the rounding.
@@ -449,19 +447,22 @@ def gain_direct_oracle(
 
     vv = grid.v_vectors()
     n_v, n_x = fv.shape
-    w = quad.effective_weights()
+    w = quad.weights
     out = np.zeros((n_v, n_x), dtype=np.complex128)
-    for j, omega in enumerate(quad.nodes):
+    for j, k in enumerate(quad.antipode_map()):
+        if j > k:
+            continue
+        omega = quad.nodes[j]
         # post-collision endpoint for all (v, u) grid pairs
         dot = (vv @ omega)[:, None] - (vv @ omega)[None, :]  # (v, u)
         v_star = vv[:, None, :] - dot[:, :, None] * omega
         s_op = _interp_matrix(grid, v_star.reshape(-1, grid.d))
-        for lo in range(0, n_x, x_chunk):
-            sl = slice(lo, min(lo + x_chunk, n_x))
+        for lo in range(0, n_x, _ORACLE_X_CHUNK):
+            sl = slice(lo, min(lo + _ORACLE_X_CHUNK, n_x))
             nc = sl.stop - sl.start
             f_star = (s_op @ fv[:, sl]).reshape(n_v, n_v, nc)
             g_vu = f_star if same else (s_op @ gv[:, sl]).reshape(n_v, n_v, nc)
-            out[:, sl] += (w[j] * grid.dv**grid.d) * np.einsum(
+            out[:, sl] += ((w[j] + w[k]) * grid.dv**grid.d) * np.einsum(
                 "vux,uvx->vx", f_star, g_vu
             )
     values = _unflatten_xv(grid, out, m)

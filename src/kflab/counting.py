@@ -98,9 +98,7 @@ def _count_lattice(query: LevelSetQuery, w: np.ndarray) -> np.ndarray:
     return counts.sum(axis=1, dtype=np.float64)
 
 
-def measure_level_set(
-    query: LevelSetQuery, mc_samples: int = 10_000, seed=0
-) -> tuple:
+def measure_level_set(query: LevelSetQuery, mc_samples: int, seed) -> tuple:
     """Monte Carlo estimate and CLT standard error of the level-set
     measure; v uniform over [-M, M]^d, inner lattice count exact."""
     if mc_samples < 1:
@@ -161,13 +159,7 @@ def bound_rhs(query: LevelSetQuery) -> float:
 
 
 def counting_sweep(
-    Ns=(4, 8, 16, 32, 64),
-    Ms=(1, 2, 4, 8, 16),
-    Ks=(1, 2, 4),
-    queries_per_cell: int = 100,
-    mc_samples: int = 10_000,
-    seed: int = 0,
-    d: int = 2,
+    Ns, Ms, Ks, queries_per_cell: int, mc_samples: int, seed: int, d: int
 ) -> ExperimentReport:
     """Standard boundedness sweep: random (a, b, C0) per cell, ratio =
     estimate / bound; C0 is drawn uniform on [0, MN] (documented

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .collision import SphereQuadrature, gain_bobylev, loss_bobylev, sphere_quadrature
+from .collision import SphereQuadrature, gain_bobylev, loss_bobylev
 from .grid import GridSpec, PhaseField, make_grid, v_to_xi, x_synthesize
 from .lp import (
     modulation_mask,
@@ -24,16 +24,17 @@ from .lp import (
 from .norms import (
     NormParams,
     apply_time_cutoff,
+    lp_spacetime_norm,
     psi_window_hb,
     sobolev_norm,
     time_profile_hb,
     xsb_norm,
     _slice_l4_xi_4,
-    _trapz_weights,
 )
 from .reports import ExperimentReport
 from .trajectory import (
     Trajectory,
+    _trapz_weights,
     duhamel_integral,
     make_trajectory,
     sample_free_evolution,
@@ -161,18 +162,11 @@ def _free_l4_norm(
 
 
 def strichartz_scan(
-    grid: GridSpec,
-    Ns=(2, 4, 8, 16, 32),
-    Ms=(1, 2, 4, 8),
-    trials: int = 20,
-    T: float = 1.0,
-    seed: int = 0,
-    n_time: int = 9,
-    subgrid: bool = True,
+    grid: GridSpec, Ns, Ms, trials: int, T: float, seed: int, n_time: int
 ) -> ExperimentReport:
     """Dispersive L4 bound for free evolutions of (N, M)-block data:
     ratio = |S(t)phi|_L4(t,x,xi) / (max{M^d,(MN)^(d-1)log(1+N)}^(1/4)
-    |phi|_L2(x,xi))."""
+    |phi|_L2(x,xi)).  Each cell runs on its _cell_grid."""
     t0 = time.time()
     report = ExperimentReport(
         experiment="strichartz-scan",
@@ -183,7 +177,7 @@ def strichartz_scan(
     )
     for N in Ns:
         for M in Ms:
-            cell = _cell_grid(grid, N, M) if subgrid else grid
+            cell = _cell_grid(grid, N, M)
             for trial in range(trials):
                 phi = random_block_field(cell, N, M, _trial_seed(seed, N, M, trial))
                 lhs = _free_l4_norm(phi, T, n_time, single=True)
@@ -196,14 +190,7 @@ def strichartz_scan(
 
 
 def strichartz_gauge_check(
-    grid: GridSpec,
-    N: int,
-    M: int,
-    shift,
-    trials: int = 5,
-    T: float = 1.0,
-    seed: int = 0,
-    n_time: int = 17,
+    grid: GridSpec, N: int, M: int, shift, trials: int, T: float, seed: int, n_time: int
 ) -> ExperimentReport:
     """Frequency-center shift is an exact gauge transformation: the L4
     ratio of a block field centered at 0 equals the ratio of the same
@@ -254,18 +241,10 @@ def _random_modulation_field(
             project_x_shell(PhaseField(grid, traj.data[j]), N), M
         )
         traj.data[j] = fld.data
-    nrm = _l2_txxi(traj)
+    nrm = lp_spacetime_norm(traj, 2)
     if nrm > 0:
         traj.data /= nrm
     return traj
-
-
-def _l2_txxi(traj: Trajectory) -> float:
-    g = traj.grid
-    tw = _trapz_weights(traj.n_samples, traj.dt)
-    axes = tuple(range(1, 2 * g.d + 1))
-    sl2 = g.dv**g.d * np.sum(np.abs(traj.data) ** 2, axis=axes)
-    return float(np.sqrt(np.sum(tw * (2.0 * np.pi) ** (2 * g.d) * sl2)))
 
 
 def _product_l2(t1: Trajectory, t2: Trajectory) -> float:
@@ -281,15 +260,8 @@ def _product_l2(t1: Trajectory, t2: Trajectory) -> float:
 
 
 def bilinear_modulation_check(
-    grid: GridSpec,
-    N: int = 4,
-    M: int = 2,
-    K1s=(1, 2, 4, 8),
-    K2s=(1, 2, 4, 8),
-    trials: int = 3,
-    seed: int = 0,
-    t_half: float = 4.0,
-    n_samples: int = 32,
+    grid: GridSpec, N: int, M: int, K1s, K2s, trials: int, seed: int, t_half: float,
+    n_samples: int,
 ) -> ExperimentReport:
     """Bilinear L2 bound for modulation-localized fields: ratio =
     |u1 u2|_L2 / (sqrt(K1 K2) max{M^d,(MN)^(d-1)log(1+N)}^(1/2)
@@ -316,8 +288,8 @@ def bilinear_modulation_check(
                 lhs = _product_l2(u1, u2)
                 rhs = float(
                     np.sqrt(K1 * K2 * _strichartz_rhs(grid.d, N, M))
-                    * _l2_txxi(u1)
-                    * _l2_txxi(u2)
+                    * lp_spacetime_norm(u1, 2)
+                    * lp_spacetime_norm(u2, 2)
                 )
                 report.add_row(N, M, K1, K2, trial, lhs, rhs, lhs / rhs)
     report.validate_finite()
@@ -335,19 +307,16 @@ def _cutoff_free_trajectory(
     return apply_time_cutoff(traj, "psi_T", T)
 
 
+# window samples and modulation exponent of the loss/gain estimate checks
+_ESTIMATE_SAMPLES = 17
+_ESTIMATE_B = 0.55
+
+
 def _bilinear_collision_check(
-    name: str,
-    apply_op,
-    grid: GridSpec,
-    s: float,
-    r: float,
-    Ts=(0.125, 0.25, 0.5),
-    trials: int = 3,
-    seed: int = 0,
-    n_samples: int = 17,
-    b: float = 0.55,
+    name: str, apply_op, grid: GridSpec, s: float, r: float, Ts, trials: int, seed: int
 ) -> ExperimentReport:
     t0 = time.time()
+    n_samples, b = _ESTIMATE_SAMPLES, _ESTIMATE_B
     report = ExperimentReport(
         experiment=name,
         columns=["T", "trial", "lhs", "rhs", "ratio"],
@@ -384,7 +353,7 @@ def _restricted_l2_sobolev_op(op_norm, traj: Trajectory, T: float) -> float:
 
 
 def loss_estimate_check(
-    grid: GridSpec, s: float, r: float, Ts=(0.125, 0.25, 0.5), trials: int = 3, seed: int = 0
+    grid: GridSpec, s: float, r: float, Ts, trials: int, seed: int
 ) -> ExperimentReport:
     """Loss-term bilinear bound: |Q-(f,g)|_{L2_T H^{s,r}} <=
     C T^(1/4) |f|_X |g|_X on cutoff free evolutions."""
@@ -394,16 +363,9 @@ def loss_estimate_check(
 
 
 def gain_estimate_check(
-    grid: GridSpec,
-    s: float,
-    r: float,
-    Ts=(0.125, 0.25, 0.5),
-    trials: int = 3,
-    seed: int = 0,
-    quad: SphereQuadrature | None = None,
+    grid: GridSpec, s: float, r: float, Ts, trials: int, seed: int, quad: SphereQuadrature
 ) -> ExperimentReport:
     """Gain-term bilinear bound, same harness as the loss term."""
-    quad = quad or sphere_quadrature(grid.d, 16)
     return _bilinear_collision_check(
         "gain-check", lambda a, b: gain_bobylev(a, b, quad), grid, s, r, Ts, trials, seed
     )
@@ -417,16 +379,14 @@ def _lpxi_norm_per_x(fld: PhaseField, p: float) -> np.ndarray:
     return (g.dxi**g.d * np.sum(np.abs(vals) ** p, axis=g.v_axes)) ** (1.0 / p)
 
 
+# (N1, M1, N2, M2) block scales of the Hoelder gain check
+_HOLDER_SCALES = ((1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 2))
+
+
 def holder_gain_check(
-    grid: GridSpec,
-    p: float = 4.0,
-    q: float = 4.0,
-    trials: int = 3,
-    seed: int = 0,
-    quad: SphereQuadrature | None = None,
-    scales=((1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 2)),
+    grid: GridSpec, p: float, q: float, trials: int, seed: int, quad: SphereQuadrature
 ) -> ExperimentReport:
-    """Per-x-node Hoelder bound for the gain term:
+    """Per-x-node Hoelder bound for the gain term over _HOLDER_SCALES:
     |P_{N,M} Q+(P_{N1,M1}f, P_{N2,M2}g)|_{L^r_xi} <=
     C |P_{N1,M1}f|_{L^p_xi} |P_{N2,M2}g|_{L^q_xi}, 1/r = 1/p + 1/q."""
     if p <= 1.5 or q <= 1.5:
@@ -435,7 +395,6 @@ def holder_gain_check(
     if inv_r > 1.0:
         raise ValueError("need 1/p + 1/q <= 1")
     r_exp = 1.0 / inv_r
-    quad = quad or sphere_quadrature(grid.d, 16)
     t0 = time.time()
     report = ExperimentReport(
         experiment="holder-check",
@@ -444,7 +403,7 @@ def holder_gain_check(
         grid_desc=repr(grid),
         extra={"p": p, "q": q, "r": r_exp},
     )
-    for N1, M1, N2, M2 in scales:
+    for N1, M1, N2, M2 in _HOLDER_SCALES:
         for trial in range(trials):
             f = random_block_field(grid, N1, M1, _trial_seed(seed, 0, trial, N1, M1))
             g = random_block_field(grid, N2, M2, _trial_seed(seed, 1, trial, N2, M2))
@@ -462,13 +421,7 @@ def holder_gain_check(
 
 
 def linear_xsb_checks(
-    grid: GridSpec,
-    s: float = 0.0,
-    r: float = 0.0,
-    b: float = 0.55,
-    seed: int = 0,
-    t_half: float = 2.0,
-    n_samples: int = 129,
+    grid: GridSpec, s: float, r: float, b: float, seed: int, t_half: float, n_samples: int
 ) -> ExperimentReport:
     """Linear restriction-norm estimates on random data:
     (b2) |psi S(t)g|_X / |g|_{H^{s,r}} (= |psi|_{H^b} exactly),
@@ -518,22 +471,24 @@ def linear_xsb_checks(
     return report
 
 
-def psi_delta_scaling(
-    b: float = 0.55,
-    deltas=tuple(2.0 ** -np.arange(1, 7)),
-    t_half: float = 2.0,
-    n_samples: int = 4097,
-) -> ExperimentReport:
+# cutoff widths, window half-width and samples of psi_delta_scaling
+_PSI_DELTAS = tuple(2.0 ** -np.arange(1, 7))
+_PSI_T_HALF = 2.0
+_PSI_SAMPLES = 4097
+
+
+def psi_delta_scaling(b: float) -> ExperimentReport:
     """Two-power scaling of the rescaled cutoff: |psi_delta|_{L2} ~
     delta^(1/2) and |psi_delta|_{Hdot^b} ~ delta^(1/2-b); fitted
     log-log slopes are stored in the report header."""
     t0 = time.time()
+    t_half, n_samples = _PSI_T_HALF, _PSI_SAMPLES
     report = ExperimentReport(
         experiment="psi-delta-scaling",
         columns=["delta", "l2", "hdotb"],
         extra={"b": b, "t_half": t_half, "n_samples": n_samples},
     )
-    for d in deltas:
+    for d in _PSI_DELTAS:
         t = np.linspace(-t_half, t_half, n_samples)
         from .lp import bump_psi
 

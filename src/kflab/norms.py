@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import PhaseField, x_synthesize, v_to_xi
 from .lp import bump_psi
-from .trajectory import Trajectory, time_dft
+from .trajectory import Trajectory, _trapz_weights, time_dft
 
 __all__ = [
     "NormParams",
@@ -70,13 +70,6 @@ def sobolev_norm(fld: PhaseField, s: float, r: float) -> float:
     g = fld.grid
     w = _sobolev_weight(g, s, r)
     return float(np.sqrt(g.dv**g.d * np.sum(w * np.abs(fld.data) ** 2)))
-
-
-def _trapz_weights(n: int, dt: float) -> np.ndarray:
-    w = np.full(n, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:

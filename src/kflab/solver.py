@@ -24,7 +24,6 @@ from .collision import (
     collide,
     collide_trajectory,
     moments,
-    sphere_quadrature,
 )
 from .grid import (
     GridSpec,
@@ -52,22 +51,23 @@ __all__ = [
 ]
 
 
+# window halvings duhamel_picard tries before it gives up on contraction
+_MAX_HALVINGS = 4
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solve parameters: window half-width T (the cutoff scale; samples
     cover [-2T, 2T]), sample spacing dt, sphere quadrature, Picard cap
-    and tolerance, norm exponents."""
+    and tolerance.  The norm exponents ``params`` follow from the grid
+    dimension (default_params); products in x are always dealiased."""
 
     grid: GridSpec
-    T: float = 0.125
-    dt: float = 0.125 / 16
-    quad: SphereQuadrature | None = None
-    max_picard: int = 12
-    tol: float = 1e-10
-    params: NormParams | None = None
-    dealias: bool = True
-    auto_halve: bool = True
-    max_halvings: int = 4
+    T: float
+    dt: float
+    quad: SphereQuadrature
+    max_picard: int
+    tol: float
 
     def __post_init__(self):
         if not 0 < self.dt <= self.T:
@@ -76,10 +76,10 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_picard < 1:
             raise ValueError("max_picard must be >= 1")
-        if self.quad is None:
-            object.__setattr__(self, "quad", sphere_quadrature(self.grid.d, 16))
-        if self.params is None:
-            object.__setattr__(self, "params", default_params(self.grid.d))
+
+    @property
+    def params(self) -> NormParams:
+        return default_params(self.grid.d)
 
 
 def _window_samples(T: float, dt: float) -> int:
@@ -153,9 +153,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
         active = np.array(
             [psi_t[j] != 0.0 and bool(np.any(cur.data[j])) for j in range(n_samples)]
         )
-        q_all = collide_trajectory(
-            cur.data, g, config.quad, dealias=config.dealias, active=active
-        )
+        q_all = collide_trajectory(cur.data, g, config.quad, active=active)
         forcing = Trajectory(g, 2.0 * T, psi_t[ext] * q_all)
         dh = duhamel_integral(forcing)
         new = Trajectory(g, 2.0 * T, linear + psi[ext] * dh.data, cutoff="psi")
@@ -167,7 +165,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
             report.converged = True
             break
         ratios = report.ratios()
-        if config.auto_halve and k == 2 and ratios and ratios[-1] > 0.9:
+        if k == 2 and ratios and ratios[-1] > 0.9:
             need_halve = True
             break
     if not report.converged and not need_halve:
@@ -178,13 +176,13 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
 def duhamel_picard(f0: PhaseField, config: SolverConfig):
     """Picard-iterate the cutoff Duhamel map; returns (trajectory,
     report).  If the contraction ratio exceeds 0.9 at iteration 3, the
-    window is halved and the solve restarts (up to max_halvings);
+    window is halved and the solve restarts (up to _MAX_HALVINGS);
     non-convergence at the cap is flagged in the report, not raised."""
     T, dt = config.T, config.dt
     halvings = 0
     while True:
         traj, report, need_halve = _picard_once(f0, config, T, dt)
-        if need_halve and halvings < config.max_halvings:
+        if need_halve and halvings < _MAX_HALVINGS:
             halvings += 1
             T *= 0.5
             dt *= 0.5
@@ -202,7 +200,7 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
     back to the lab frame.  Rejects a step if the state norm doubles."""
     g = f0.grid
     nv = _nv_dot(g)
-    quad, dealias = config.quad, config.dealias
+    quad = config.quad
     T, dt = config.T, config.dt
     half = int(round(T / dt))
     times = dt * np.arange(-half, half + 1)
@@ -210,7 +208,7 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         fld = PhaseField(g, state * np.exp(-1j * t * nv))
-        q = collide(fld, quad, dealias=dealias)
+        q = collide(fld, quad)
         return q.data * np.exp(1j * t * nv)
 
     center = half
@@ -256,8 +254,8 @@ def sup_l2_difference(a: Trajectory, b: Trajectory) -> float:
 def perturbation_experiment(
     f0: PhaseField,
     config: SolverConfig,
-    deltas=(1e-2, 1e-3, 1e-4),
-    seed: int = 0,
+    deltas,
+    seed: int,
 ) -> ExperimentReport:
     """Data-to-solution continuity: solve from f0 and from f0 + delta*g
     for a fixed unit direction g, report sup_{|t|<=T} H^{s,r} distance

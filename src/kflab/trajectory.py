@@ -102,11 +102,12 @@ def sample_free_evolution(phi: PhaseField, t_half: float, n_samples: int) -> Tra
     return traj
 
 
-def _time_weights(traj: Trajectory) -> np.ndarray:
-    w = np.full(traj.n_samples, traj.dt)
+def _trapz_weights(n: int, dt: float) -> np.ndarray:
+    """Trapezoid weights of n samples spaced dt."""
+    w = np.full(n, dt)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return np.sqrt(w)
+    return w
 
 
 def time_dft(traj: Trajectory) -> tuple:
@@ -118,7 +119,7 @@ def time_dft(traj: Trajectory) -> tuple:
     """
     g = traj.grid
     nv = _nv_dot(g)
-    w = _time_weights(traj)
+    w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
     demod = np.exp(1j * traj.times[ext] * nv[None])
     u = w[ext] * demod * traj.data
@@ -133,7 +134,7 @@ def time_idft(traj: Trajectory, coeffs: np.ndarray) -> Trajectory:
     g = traj.grid
     u = np.fft.ifft(coeffs, axis=0) * np.sqrt(traj.n_samples)
     nv = _nv_dot(g)
-    w = _time_weights(traj)
+    w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
     remod = np.exp(-1j * traj.times[ext] * nv[None])
     data = remod * u / w[ext]

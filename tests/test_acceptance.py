@@ -7,6 +7,7 @@ heavy sweeps (counting, Strichartz, nonlinear, solver) dominate.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,7 +159,9 @@ def test_criterion_3_counting():
         Ms=(1, 2, 4, 8, 16),
         Ks=(1, 2, 4),
         queries_per_cell=100,
+        mc_samples=10_000,
         seed=0,
+        d=2,
     )
     ratios = np.array(report.column("ratio"))
     Ns_col = np.array(report.column("N"))
@@ -187,7 +190,7 @@ def test_criterion_4_strichartz():
     t0 = time.time()
     grid = make_grid(d=2, n_modes=64, v_extent=16.0, v_points=32)
     report = strichartz_scan(
-        grid, Ns=(2, 4, 8, 16, 32), Ms=(1, 2, 4, 8), trials=20, T=1.0, seed=0
+        grid, Ns=(2, 4, 8, 16, 32), Ms=(1, 2, 4, 8), trials=20, T=1.0, seed=0, n_time=9
     )
     ratios = np.array(report.column("ratio"))
     Ns_col = np.array(report.column("N"))
@@ -197,7 +200,9 @@ def test_criterion_4_strichartz():
     slope = loglog_slope(Ns, max_per_N)
     ok_slope = slope <= 0.05
 
-    gauge = strichartz_gauge_check(grid, N=8, M=2, shift=(3, 0), trials=5, seed=0)
+    gauge = strichartz_gauge_check(
+        grid, N=8, M=2, shift=(3, 0), trials=5, T=1.0, seed=0, n_time=17
+    )
     defect = max(gauge.column("defect"))
     ok_gauge = defect <= 1e-8
     ok = ok_finite and ok_slope and ok_gauge
@@ -229,6 +234,7 @@ def test_criterion_5_bilinear():
             K2s=(1, 2, 4, 8),
             trials=3,
             seed=0,
+            t_half=4.0,
             n_samples=n_samples,
         )
         ratios = np.array(report.column("ratio"))
@@ -257,7 +263,7 @@ def test_criterion_6_nonlinear():
     Ts = (0.125, 0.25, 0.5)
     loss = loss_estimate_check(grid, s, r, Ts=Ts, trials=3, seed=0)
     gain = gain_estimate_check(grid, s, r, Ts=Ts, trials=3, seed=0, quad=quad)
-    holder = holder_gain_check(grid, trials=3, seed=0, quad=quad)
+    holder = holder_gain_check(grid, p=4.0, q=4.0, trials=3, seed=0, quad=quad)
     ok = True
     details = []
     for label, rep in (("loss", loss), ("gain", gain), ("holder", holder)):
@@ -287,7 +293,9 @@ def test_criterion_6_nonlinear():
 def test_criterion_7_linear_xsb():
     t0 = time.time()
     grid = make_grid(d=2, n_modes=4, v_extent=4.0, v_points=8)
-    report = linear_xsb_checks(grid, b=0.55, seed=0)
+    report = linear_xsb_checks(
+        grid, s=0.0, r=0.0, b=0.55, seed=0, t_half=2.0, n_samples=129
+    )
     i = report.columns.index("ratio")
     b2_row = [row for row in report.rows if row[0] == "b2"][0]
     oracle = report.extra["b2_oracle"]
@@ -321,7 +329,7 @@ def test_criterion_8_solver():
     ok_contract = report.converged and any(r <= 0.5 for r in ratios[:8])
 
     Tf = report.t_final
-    rk_config = SolverConfig(grid=grid, T=Tf, dt=traj.dt, quad=quad)
+    rk_config = replace(config, T=Tf, dt=traj.dt)
     rk = integrate_interaction_picture(f0, rk_config)
     diff = sup_l2_difference(traj, rk)
     ok_cross = diff <= 1e-4
@@ -335,7 +343,12 @@ def test_criterion_8_solver():
     # data, not a resolution statement)
     pgrid = make_grid(d=2, n_modes=4, v_points=16, v_extent=5.0)
     pconfig = SolverConfig(
-        grid=pgrid, T=0.125, dt=0.125 / 8, quad=sphere_quadrature(2, 8), max_picard=20
+        grid=pgrid,
+        T=0.125,
+        dt=0.125 / 8,
+        quad=sphere_quadrature(2, 8),
+        max_picard=20,
+        tol=1e-10,
     )
     pf0 = maxwellian_perturbed(pgrid, eps=0.1, mode=(1, 0))
     prep = perturbation_experiment(pf0, pconfig, deltas=(1e-2, 1e-3, 1e-4), seed=0)
@@ -354,11 +367,15 @@ def test_criterion_8_solver():
 
 def test_criterion_9_determinism():
     t0 = time.time()
-    a = counting_sweep(Ns=(4, 8), Ms=(1, 2), Ks=(1, 2), queries_per_cell=5, seed=3)
-    b = counting_sweep(Ns=(4, 8), Ms=(1, 2), Ks=(1, 2), queries_per_cell=5, seed=3)
+    sweep = dict(
+        Ns=(4, 8), Ms=(1, 2), Ks=(1, 2), queries_per_cell=5, mc_samples=10_000, seed=3, d=2
+    )
+    a = counting_sweep(**sweep)
+    b = counting_sweep(**sweep)
     grid = make_grid(d=2, n_modes=8, v_extent=4.0, v_points=8)
-    c = strichartz_scan(grid, Ns=(2, 4), Ms=(1,), trials=2, seed=7)
-    d = strichartz_scan(grid, Ns=(2, 4), Ms=(1,), trials=2, seed=7)
+    scan = dict(Ns=(2, 4), Ms=(1,), trials=2, T=1.0, seed=7, n_time=9)
+    c = strichartz_scan(grid, **scan)
+    d = strichartz_scan(grid, **scan)
     ok = a.to_csv() == b.to_csv() and c.to_csv() == d.to_csv()
     _verdict("criterion 9 (determinism)", ok, "csv byte-identical", t0)
     assert ok

@@ -1,11 +1,12 @@
 """Command-line interface: end-to-end runs, exit codes, output routing."""
 
+import inspect
 import json
 import os
 
 import pytest
 
-from kflab import cli
+from kflab import cli, counting, lab, solver
 from kflab.cli import _RUNNERS, Settings, _load_config, run
 
 
@@ -41,11 +42,11 @@ def test_missing_config_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_ONE_CELL = ["Ns=1", "Ms=1", "Ks=1", "queries_per_cell=1"]
+
+
 def test_counting_single_query(tmp_path):
-    code = run(
-        ["counting-check", "--out-dir", str(tmp_path), "--N", "1", "--M", "1",
-         "--K", "1"]
-    )
+    code = run(["counting-check", "--out-dir", str(tmp_path)] + _ONE_CELL)
     assert code == 0
     csvs = [n for n in os.listdir(tmp_path) if n.endswith(".csv")]
     assert csvs
@@ -57,9 +58,7 @@ def test_counting_single_query(tmp_path):
 def test_env_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("KFL_OUT_DIR", str(target))
-    code = run(
-        ["counting-check", "--N", "1", "--M", "1", "--K", "1"]
-    )
+    code = run(["counting-check"] + _ONE_CELL)
     assert code == 0
     assert target.exists()
 
@@ -92,9 +91,48 @@ def test_unknown_keys_exit_1(tmp_path, capsys):
     assert code == 1
     assert "bogus" in capsys.readouterr().err
     assert not out.exists()
-    # counting-check's single-cell keys are known, from a config file too
-    cfg.write_text("[counting-check]\nN = 1\nM = 1\nK = 1\nqueries = 1\n")
-    assert run(["counting-check", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    # a user section that ships nowhere, such as a misspelt one
+    cfg.write_text("[linear-chek]\nn_samples = 65\n")
+    code = run(["linear-check", "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 1
+    assert "linear-chek" in capsys.readouterr().err
+    assert not out.exists()
+    # a shipped section the experiment does not read is allowed, so one
+    # user file can serve several experiments
+    cfg.write_text("[solver]\nnodes = 8\n[linear-check]\nn_samples = 33\n")
+    argv = ["linear-check", "--config", str(cfg), "--out-dir", str(out)]
+    assert run(argv + _TINY_RUNS["linear-check"][:2]) == 0
+    # a counting cell is named only by the sweep keys
+    code = run(["counting-check", "--out-dir", str(out), "N=8", "mc_samples=10"])
+    assert code == 1
+    assert "counting-check: N" in capsys.readouterr().err
+
+
+def test_drivers_take_required_settings():
+    # a driver runs with the values its caller passes (the CLI's come from
+    # defaults.cfg); a value that never varies is a module constant
+    drivers = (
+        lab.strichartz_scan,
+        lab.strichartz_gauge_check,
+        lab.bilinear_modulation_check,
+        lab._bilinear_collision_check,
+        lab.loss_estimate_check,
+        lab.gain_estimate_check,
+        lab.holder_gain_check,
+        lab.linear_xsb_checks,
+        lab.psi_delta_scaling,
+        counting.counting_sweep,
+        counting.measure_level_set,
+        solver.perturbation_experiment,
+        solver.SolverConfig,
+    )
+    defaults = [
+        f"{fn.__name__}({name})"
+        for fn in drivers
+        for name, par in inspect.signature(fn).parameters.items()
+        if par.default is not inspect.Parameter.empty
+    ]
+    assert defaults == []
 
 
 def test_bad_experiment_rejected():
@@ -127,9 +165,9 @@ def test_every_key_read_is_accepted(experiment, tmp_path, monkeypatch, capsys):
     read = set()
     get = Settings.get
 
-    def spy(self, key, fallback=None):
+    def spy(self, key):
         read.add(key)
-        return get(self, key, fallback)
+        return get(self, key)
 
     monkeypatch.setattr(Settings, "get", spy)
     code = run([experiment, "--out-dir", str(tmp_path)] + _TINY_RUNS[experiment])
@@ -207,7 +245,7 @@ def test_slope_summaries_are_strict_json(tmp_path):
     assert run(["strichartz-scan", "--out-dir", str(out)] + _TINY_RUNS["strichartz-scan"]) == 0
     assert _strict_json(out / "strichartz_summary.json") == {"max_slope_vs_N": None}
     out = tmp_path / "counting"
-    assert run(["counting-check", "--out-dir", str(out), "N=1", "M=1", "K=1"]) == 0
+    assert run(["counting-check", "--out-dir", str(out)] + _ONE_CELL) == 0
     assert _strict_json(out / "counting_summary.json") == {"max_ratio_slope_vs_N": None}
 
 

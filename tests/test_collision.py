@@ -112,6 +112,38 @@ def test_gain_matches_oracle():
     assert diff.l2_norm() / fast.l2_norm() <= 5e-2
 
 
+def test_oracle_pairs_match_per_node_sum():
+    # the oracle visits antipodal pairs with weight w_j + w_k; against the
+    # sum over every node, with unequal antipodal weights and f != g
+    from kflab import SphereQuadrature
+    from kflab.collision import (
+        _analyze_truncate,
+        _flatten_xv,
+        _interp_matrix,
+        _synthesize_padded,
+        _unflatten_xv,
+    )
+
+    g = _grid(n_modes=2, v_points=8)
+    base = sphere_quadrature(2, 8)
+    quad = SphereQuadrature(2, base.nodes, base.weights * (1.0 + 0.5 * base.nodes[:, 0]))
+    f, h = _random_nonneg(g, 6), _random_nonneg(g, 7)
+    fv = _flatten_xv(g, _synthesize_padded(f, 2), 2).astype(np.complex64)
+    hv = _flatten_xv(g, _synthesize_padded(h, 2), 2).astype(np.complex64)
+    vv = g.v_vectors()
+    n_v = len(vv)
+    out = 0.0
+    for w, omega in zip(quad.weights, quad.nodes):
+        dot = (vv @ omega)[:, None] - (vv @ omega)[None, :]
+        s_op = _interp_matrix(g, (vv[:, None, :] - dot[:, :, None] * omega).reshape(-1, 2))
+        f_star = (s_op @ fv).reshape(n_v, n_v, -1)
+        h_star = (s_op @ hv).reshape(n_v, n_v, -1)
+        out = out + w * g.dv**2 * np.einsum("vux,uvx->vx", f_star, h_star)
+    expected = _analyze_truncate(g, _unflatten_xv(g, out, 2), 2)
+    oracle = gain_direct_oracle(f, h, quad, dealias=False)
+    assert _rel(oracle.data, expected.data) <= 1e-6
+
+
 def test_oracle_nonnegative_output():
     g = _grid(n_modes=2, v_points=16)
     f = _random_nonneg(g, 5)
@@ -199,7 +231,7 @@ def _dense_gain(grid, quad, fv, gv):
     xi = grid.xi_vectors()
     radius = np.linalg.norm(xi, axis=1)[:, None]
     gain_xi = 0.0
-    for w, omega in zip(quad.effective_weights(), quad.nodes):
+    for w, omega in zip(quad.weights, quad.nodes):
         plus = _dense_phase(grid, 0.5 * (xi + radius * omega)) @ fv
         minus = _dense_phase(grid, 0.5 * (xi - radius * omega)) @ gv
         gain_xi = gain_xi + w * plus * minus
@@ -332,8 +364,8 @@ def test_gain_angular_kernel_matches_dense(d, v_points, n_nodes):
     base = sphere_quadrature(d, n_nodes)
     nodes = base.nodes
     kernel = 1.0 + 0.5 * nodes[:, 0] + 0.3 * nodes[:, 1] ** 2
-    quad = SphereQuadrature(d, nodes, base.weights, kernel)
-    w = quad.effective_weights()
+    quad = SphereQuadrature(d, nodes, base.weights * kernel)
+    w = quad.weights
     # odd in omega, so antipodal nodes carry different weights
     assert np.max(np.abs(w - w[quad.antipode_map()])) > 0.5 * np.max(base.weights)
     fv, gv = _columns(g, 20), _columns(g, 21)
@@ -351,7 +383,7 @@ def test_collide_trajectory_partial_mask_matches_per_slice():
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     active = np.array([True, False, True, True, False])
     q = collide_trajectory(stack, g, quad, active=active)
-    area = float(np.sum(quad.effective_weights()))
+    area = float(np.sum(quad.weights))
     for j in range(len(stack)):
         if not active[j]:
             assert not np.any(q[j])

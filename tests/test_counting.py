@@ -86,9 +86,9 @@ def test_bound_rhs_monotone():
 
 def test_sweep_small_deterministic():
     rep1 = counting_sweep(Ns=(2, 4), Ms=(1,), Ks=(1,), queries_per_cell=3,
-                          mc_samples=500, seed=5)
+                          mc_samples=500, seed=5, d=2)
     rep2 = counting_sweep(Ns=(2, 4), Ms=(1,), Ks=(1,), queries_per_cell=3,
-                          mc_samples=500, seed=5)
+                          mc_samples=500, seed=5, d=2)
     assert rep1.to_csv() == rep2.to_csv()
     ratios = rep1.column("ratio")
     assert all(np.isfinite(ratios))

@@ -1,5 +1,7 @@
 """Fixed-point solver: Picard iteration, cross-check integrator, diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,14 @@ def _zero_quad():
     return SphereQuadrature(2, base.nodes, np.zeros_like(base.weights))
 
 
+_QUAD = sphere_quadrature(2, 16)
+
+
 def test_zero_data_fixed_point():
     g = _grid()
     f0 = PhaseField(g, np.zeros(g.shape, dtype=np.complex128))
-    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 4, max_picard=3)
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 4, quad=_QUAD, max_picard=3,
+                          tol=1e-10)
     traj, report = duhamel_picard(f0, config)
     assert traj.sup_l2() == 0.0
     assert report.converged
@@ -42,7 +48,7 @@ def test_collisionless_is_free_evolution():
     g = _grid()
     f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
     config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8, quad=_zero_quad(),
-                          max_picard=4)
+                          max_picard=4, tol=1e-10)
     traj, report = duhamel_picard(f0, config)
     # with zero collision weights the first correction vanishes
     # identically, so Picard converges immediately
@@ -59,7 +65,8 @@ def test_collisionless_is_free_evolution():
 def test_picard_contracts_for_small_data():
     g = _grid()
     f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
-    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8, max_picard=8)
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8, quad=_QUAD, max_picard=8,
+                          tol=1e-10)
     traj, report = duhamel_picard(f0, config)
     ratios = report.ratios()
     assert report.converged or all(r <= 0.5 for r in ratios[2:])
@@ -68,7 +75,8 @@ def test_picard_contracts_for_small_data():
 def test_rk_collisionless_free_evolution():
     g = _grid()
     f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
-    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8, quad=_zero_quad())
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8, quad=_zero_quad(),
+                          max_picard=12, tol=1e-10)
     traj = integrate_interaction_picture(f0, config)
     free = sample_free_evolution(f0, traj.t_half, traj.n_samples)
     assert sup_l2_difference(traj, free) <= 1e-12
@@ -77,7 +85,8 @@ def test_rk_collisionless_free_evolution():
 def test_rk_zero_data():
     g = _grid()
     f0 = PhaseField(g, np.zeros(g.shape, dtype=np.complex128))
-    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 4)
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 4, quad=_QUAD, max_picard=12,
+                          tol=1e-10)
     traj = integrate_interaction_picture(f0, config)
     assert traj.sup_l2() == 0.0
 
@@ -85,13 +94,14 @@ def test_rk_zero_data():
 def test_picard_vs_rk_cross_check():
     g = _grid()
     f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
-    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 32, max_picard=30)
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 32, quad=_QUAD, max_picard=30,
+                          tol=1e-10)
     picard, report = duhamel_picard(f0, config)
     assert report.converged
     # the cutoffs are identically 1 only on |t| <= t_final, so the
     # cross-check integrator runs on that window
     Tf = report.t_final
-    rk_config = SolverConfig(grid=g, T=Tf, dt=picard.dt, quad=config.quad)
+    rk_config = replace(config, T=Tf, dt=picard.dt)
     rk = integrate_interaction_picture(f0, rk_config)
     assert sup_l2_difference(picard, rk) <= 1e-4
 
@@ -104,7 +114,8 @@ def test_gauge_translation_equivariance():
     a_shift = 2.0 * np.pi / g.n_modes
     phase = np.exp(-1j * a_shift * g.modes_1d)[:, None, None, None]
     shifted = PhaseField(g, f0.data * phase)
-    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8)
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8, quad=_QUAD, max_picard=12,
+                          tol=1e-10)
     a, _ = duhamel_picard(f0, config)
     b, _ = duhamel_picard(shifted, config)
     assert np.max(np.abs(b.data - a.data * phase[None])) <= 1e-10
@@ -115,7 +126,8 @@ def _solved_moderate():
     # the velocity-truncation tail of exp(-|v|^2) bounds both at ~1e-5
     g = make_grid(d=2, n_modes=4, v_points=24, v_extent=6.0)
     f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
-    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8)
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 8, quad=_QUAD, max_picard=12,
+                          tol=1e-10)
     return duhamel_picard(f0, config)
 
 
@@ -170,4 +182,4 @@ def test_sup_l2_difference_misaligned():
 def test_config_validation():
     g = _grid()
     with pytest.raises(ValueError):
-        SolverConfig(grid=g, T=0.125, dt=0.25)
+        SolverConfig(grid=g, T=0.125, dt=0.25, quad=_QUAD, max_picard=12, tol=1e-10)
