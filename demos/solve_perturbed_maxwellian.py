@@ -21,6 +21,7 @@ from kflab import (
     sphere_quadrature,
     sup_l2_difference,
 )
+from kflab.solver import POSITIVITY_THRESHOLD
 
 
 def main() -> None:
@@ -43,9 +44,9 @@ def main() -> None:
     rk = integrate_interaction_picture(f0, rk_config)
     print(f"  sup L2 difference on |t| <= {Tf}: {sup_l2_difference(traj, rk):.3e}")
 
-    pos = positivity_check(traj, t_limit=Tf)
+    pos = positivity_check(traj, POSITIVITY_THRESHOLD, Tf)
     print(f"Positivity: min density {pos['min_value']:.3e}")
-    drift = conservation_drift(traj, t_limit=Tf)
+    drift = conservation_drift(traj, Tf)
     print(
         f"Conservation drift: mass {drift['mass_drift']:.2e}, "
         f"momentum {drift['momentum_drift']:.2e}, "

@@ -16,8 +16,6 @@ from .grid import (
     GridSpec,
     PhaseField,
     conjugate_symmetry_defect,
-    eval_xi_offgrid,
-    eval_xi_points,
     load_field,
     make_grid,
     random_field,
@@ -25,6 +23,7 @@ from .grid import (
     v_to_xi,
     x_analyze,
     x_synthesize,
+    xi_phase_matrix,
     xi_to_v,
 )
 from .propagator import free_evolve
@@ -55,7 +54,7 @@ from .norms import (
     NormParams,
     apply_time_cutoff,
     default_params,
-    lp_spacetime_norm,
+    l2_spacetime_norm,
     psi_window_hb,
     sobolev_norm,
     xsb_norm,

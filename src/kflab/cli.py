@@ -170,7 +170,7 @@ def _run_simulate(st: Settings, seed: int, out_dir: str) -> int:
     for j in range(0, traj.n_samples, max(1, stride)):
         save_field(traj.slice_field(j), os.path.join(out_dir, f"snapshot_{j:05d}.kfl"))
     _write_json(out_dir, "iteration_report.json", report.to_dict())
-    pos = solver.positivity_check(traj, t_limit=report.t_final)
+    pos = solver.positivity_check(traj, solver.POSITIVITY_THRESHOLD, report.t_final)
     cons = solver.conservation_drift(traj, t_limit=report.t_final)
     _write_json(
         out_dir,

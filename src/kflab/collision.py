@@ -18,14 +18,17 @@ by a fixed row gather; the rows of M_k whose xi has a +P/2 component
 fixed blocks so the elementwise work stays in cache.
 
 Everything is evaluated per x-node; quadratic products in x are
-dealiased by zero-padded synthesis (3/2 rule), on by default.
-``collide_trajectory`` forms the loss from the same synthesized columns
-as the gain and analyzes gain minus loss once per slice; ``collide`` is
-its one-slice case.
+dealiased by zero-padded synthesis (3/2 rule), on by default, through
+the x-transform pair of :mod:`kflab.grid` at the padded size
+(``x_synthesize(f, m)``, ``x_analyze(grid, values, m)``), which also
+owns the Nyquist-slot convention.  ``collide_trajectory`` forms the loss
+from the same synthesized columns as the gain and analyzes gain minus
+loss once per slice; ``collide`` is its one-slice case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,8 @@ from .grid import (
     PhaseField,
     _check_same_grid,
     _xi_to_v_inplace,
+    x_analyze,
+    x_synthesize,
     xi_phase_matrix,
 )
 
@@ -85,8 +90,8 @@ def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
     Gauss-Legendre (polar) x uniform (azimuthal) product rule for d=3.
     Both are antipodally symmetric, which the gain kernel needs.
 
-    For d=2 the node count must be even.  For d=3 it is rounded to the
-    nearest n_polar * 2*n_polar product structure.
+    For d=2 the node count must be even.  For d=3 it must be the
+    product n_polar * 2*n_polar = 2k^2 with k >= 2 (8, 18, 32, 50, ...).
     """
     if n_nodes < 4:
         raise ValueError(f"need at least 4 nodes, got {n_nodes}")
@@ -98,7 +103,13 @@ def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
         weights = np.full(n_nodes, 2.0 * np.pi / n_nodes)
         return SphereQuadrature(2, nodes, weights)
     if d == 3:
-        n_polar = max(2, int(round(np.sqrt(n_nodes / 2.0))))
+        n_polar = math.isqrt(n_nodes // 2)
+        if n_nodes != 2 * n_polar**2:
+            near = [c for c in (2 * n_polar**2, 2 * (n_polar + 1) ** 2) if c >= 8]
+            raise ValueError(
+                f"d=3 needs a node count 2k^2 with k >= 2, got {n_nodes}; "
+                f"nearest: {' or '.join(map(str, near))}"
+            )
         n_az = 2 * n_polar
         mu, gl_w = np.polynomial.legendre.leggauss(n_polar)
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
@@ -117,7 +128,7 @@ def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
 
 
 # ---------------------------------------------------------------------------
-# x-dealiasing helpers: synthesize on a padded x-grid, analyze, truncate.
+# x-dealiasing: the size of the padded x-grid (3/2 rule).
 
 
 def _padded_count(n_modes: int, dealias: bool) -> int:
@@ -125,30 +136,6 @@ def _padded_count(n_modes: int, dealias: bool) -> int:
         return n_modes
     m = (3 * n_modes + 1) // 2
     return m + (m % 2)
-
-
-def _embed_indices(grid: GridSpec, m: int) -> list:
-    # target FFT-order index of each stored mode on the padded grid
-    return [grid.modes_1d % m for _ in range(grid.d)]
-
-
-def _synthesize_padded(fld: PhaseField, m: int) -> np.ndarray:
-    """f on the m^d x-grid (zero-padded modes), shape (m,)*d + (P,)*d."""
-    g = fld.grid
-    if m == g.n_modes:
-        big = fld.data
-    else:
-        big = np.zeros((m,) * g.d + (g.v_points,) * g.d, dtype=np.complex128)
-        big[np.ix_(*_embed_indices(g, m))] = fld.data
-    return np.fft.ifftn(big, axes=tuple(range(g.d))) * m**g.d
-
-
-def _analyze_truncate(grid: GridSpec, values: np.ndarray, m: int) -> PhaseField:
-    """Inverse of _synthesize_padded followed by mode truncation."""
-    coeffs = np.fft.fftn(values, axes=tuple(range(grid.d))) / m**grid.d
-    if m != grid.n_modes:
-        coeffs = coeffs[np.ix_(*_embed_indices(grid, m))]
-    return PhaseField(grid, coeffs)
 
 
 def _flatten_xv(grid: GridSpec, values: np.ndarray, m: int) -> np.ndarray:
@@ -305,12 +292,12 @@ def gain_bobylev(
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
     m = _padded_count(grid.n_modes, dealias)
-    fv = _flatten_xv(grid, _synthesize_padded(f, m), m)
+    fv = _flatten_xv(grid, x_synthesize(f, m), m)
     same = g is f or np.array_equal(g.data, f.data)
-    gv = fv if same else _flatten_xv(grid, _synthesize_padded(g, m), m)
+    gv = fv if same else _flatten_xv(grid, x_synthesize(g, m), m)
     gain_v = _gain_columns(grid, quad, fv, gv)
     values = _unflatten_xv(grid, gain_v, m)
-    return _analyze_truncate(grid, values, m)
+    return x_analyze(grid, values, m)
 
 
 def collide_trajectory(
@@ -349,7 +336,7 @@ def _collide_stack(stack, grid, quad, dealias, active):
     for pos, j in enumerate(idx):
         fld = PhaseField(grid, stack[j])
         cols[:, pos * n_x : (pos + 1) * n_x] = _flatten_xv(
-            grid, _synthesize_padded(fld, m), m
+            grid, x_synthesize(fld, m), m
         )
     q_v = _gain_columns(grid, quad, cols, cols)
     area = float(np.sum(quad.weights))
@@ -357,7 +344,7 @@ def _collide_stack(stack, grid, quad, dealias, active):
         sl = slice(pos * n_x, (pos + 1) * n_x)
         mass = grid.dv**grid.d * cols[:, sl].sum(axis=0)
         q_v[:, sl] -= cols[:, sl] * (area * mass)
-        out[j] = _analyze_truncate(grid, _unflatten_xv(grid, q_v[:, sl], m), m).data
+        out[j] = x_analyze(grid, _unflatten_xv(grid, q_v[:, sl], m), m).data
     return out
 
 
@@ -372,13 +359,13 @@ def loss_bobylev(
     _check_same_grid(f, g)
     grid = f.grid
     m = _padded_count(grid.n_modes, dealias)
-    fx = _synthesize_padded(f, m)
-    gx = fx if (g is f or np.array_equal(g.data, f.data)) else _synthesize_padded(g, m)
+    fx = x_synthesize(f, m)
+    gx = fx if (g is f or np.array_equal(g.data, f.data)) else x_synthesize(g, m)
     g0 = grid.dv**grid.d * gx.sum(axis=tuple(range(grid.d, 2 * grid.d)))
     if area is None:
         area = sphere_area(grid.d)
     values = area * fx * g0[(...,) + (None,) * grid.d]
-    return _analyze_truncate(grid, values, m)
+    return x_analyze(grid, values, m)
 
 
 def _interp_matrix(grid: GridSpec, points: np.ndarray) -> sparse.csr_matrix:
@@ -439,11 +426,9 @@ def gain_direct_oracle(
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
     m = _padded_count(grid.n_modes, dealias)
-    fv = _flatten_xv(grid, _synthesize_padded(f, m), m).astype(np.complex64)
+    fv = _flatten_xv(grid, x_synthesize(f, m), m).astype(np.complex64)
     same = g is f or np.array_equal(g.data, f.data)
-    gv = fv if same else _flatten_xv(grid, _synthesize_padded(g, m), m).astype(
-        np.complex64
-    )
+    gv = fv if same else _flatten_xv(grid, x_synthesize(g, m), m).astype(np.complex64)
 
     vv = grid.v_vectors()
     n_v, n_x = fv.shape
@@ -466,7 +451,7 @@ def gain_direct_oracle(
                 "vux,uvx->vx", f_star, g_vu
             )
     values = _unflatten_xv(grid, out, m)
-    return _analyze_truncate(grid, values, m)
+    return x_analyze(grid, values, m)
 
 
 def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> PhaseField:
@@ -487,7 +472,7 @@ def moments(fld: PhaseField) -> tuple:
     Returns (mass, momentum, energy) with shapes (nx..), (nx.., d), (nx..).
     """
     grid = fld.grid
-    fx = _synthesize_padded(fld, grid.n_modes)
+    fx = x_synthesize(fld)
     v_axes = tuple(range(grid.d, 2 * grid.d))
     dvd = grid.dv**grid.d
     mass = dvd * fx.sum(axis=v_axes)

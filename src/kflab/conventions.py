@@ -22,7 +22,8 @@ grid with spacing ``dxi = pi / V``.
 With these choices ``ftil`` is a trigonometric polynomial in ``xi``,
 periodic with period ``2pi/dv`` per axis, and the discrete Plancherel
 identity reads ``dxi^d sum_xi |ftil|^2 = (2pi)^d dv^d sum_v |fhat|^2``.
-The off-grid evaluator uses the identical sum at arbitrary ``xi``.
+The off-grid evaluator, ``grid.xi_phase_matrix``, uses the identical sum
+at arbitrary ``xi``.
 
 Collision constants
 -------------------

@@ -21,7 +21,6 @@ __all__ = [
     "x_analyze",
     "v_to_xi",
     "xi_to_v",
-    "eval_xi_offgrid",
     "xi_phase_matrix",
     "conjugate_symmetry_defect",
     "save_field",
@@ -38,6 +37,12 @@ def _fft_modes(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
     k[n // 2] = n // 2
     return k
+
+
+def _tensor_points(axis_1d: np.ndarray, d: int) -> np.ndarray:
+    """All d-tuples of the 1D nodes, shape (len(axis_1d)^d, d), flat C order."""
+    grids = np.meshgrid(*([axis_1d] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -101,29 +106,15 @@ class GridSpec:
 
     def mode_vectors(self) -> np.ndarray:
         """All mode tuples, shape (n_modes^d, d), flat C order."""
-        grids = np.meshgrid(*([self.modes_1d] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return _tensor_points(self.modes_1d, self.d)
 
     def v_vectors(self) -> np.ndarray:
         """All velocity nodes, shape (v_points^d, d), flat C order."""
-        grids = np.meshgrid(*([self.v_1d] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return _tensor_points(self.v_1d, self.d)
 
     def xi_vectors(self) -> np.ndarray:
         """All xi nodes (FFT order per axis), shape (v_points^d, d)."""
-        grids = np.meshgrid(*([self.xi_1d] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
-    def nv_dot(self) -> np.ndarray:
-        """The tensor n.v over the full (n, v) index set, shape == grid shape."""
-        out = np.zeros(self.shape)
-        for i in range(self.d):
-            n_shape = [1] * (2 * self.d)
-            n_shape[i] = self.n_modes
-            v_shape = [1] * (2 * self.d)
-            v_shape[self.d + i] = self.v_points
-            out = out + self.modes_1d.reshape(n_shape) * self.v_1d.reshape(v_shape)
-        return out
+        return _tensor_points(self.xi_1d, self.d)
 
 
 @dataclass
@@ -178,18 +169,37 @@ def make_grid(d: int, n_modes: int, v_extent: float, v_points: int) -> GridSpec:
     return GridSpec(d=d, n_modes=n_modes, v_extent=float(v_extent), v_points=v_points)
 
 
-def x_synthesize(fld: PhaseField) -> np.ndarray:
-    """Values f(x, v) on the x-grid: inverse x-DFT per fixed v."""
+def _embed_indices(grid: GridSpec, m: int) -> list:
+    """Per axis, the FFT-order index on an m-point x-grid of each stored
+    mode; the Nyquist slot, labelled +n_modes/2, goes to +n_modes/2."""
+    return [grid.modes_1d % m for _ in range(grid.d)]
+
+
+def x_synthesize(fld: PhaseField, m: int | None = None) -> np.ndarray:
+    """Values f(x, v) on the m^d x-grid (m defaults to n_modes), shape
+    (m,)*d + (P,)*d: the stored modes are embedded at their labels with
+    zeros elsewhere (m > n_modes zero-pads for dealiased products), then
+    inverse x-DFT per fixed v."""
     g = fld.grid
-    return np.fft.ifftn(fld.data, axes=g.n_axes) * g.n_modes**g.d
+    m = g.n_modes if m is None else m
+    if m == g.n_modes:
+        big = fld.data
+    else:
+        big = np.zeros((m,) * g.d + (g.v_points,) * g.d, dtype=np.complex128)
+        big[np.ix_(*_embed_indices(g, m))] = fld.data
+    return np.fft.ifftn(big, axes=g.n_axes) * m**g.d
 
 
-def x_analyze(grid: GridSpec, values: np.ndarray) -> PhaseField:
-    """Inverse of x_synthesize: x-Fourier coefficients from grid values."""
-    if values.shape != grid.shape:
+def x_analyze(grid: GridSpec, values: np.ndarray, m: int | None = None) -> PhaseField:
+    """Inverse of x_synthesize on the m^d x-grid, followed by truncation
+    to the stored modes."""
+    m = grid.n_modes if m is None else m
+    if values.shape != (m,) * grid.d + (grid.v_points,) * grid.d:
         raise ValueError(f"values shape {values.shape} does not match grid")
-    data = np.fft.fftn(values, axes=grid.n_axes) / grid.n_modes**grid.d
-    return PhaseField(grid, data)
+    coeffs = np.fft.fftn(values, axes=grid.n_axes) / m**grid.d
+    if m != grid.n_modes:
+        coeffs = coeffs[np.ix_(*_embed_indices(grid, m))]
+    return PhaseField(grid, coeffs)
 
 
 def _v_to_xi_axis_phases(grid: GridSpec) -> np.ndarray:
@@ -238,7 +248,9 @@ def _xi_to_v_inplace(grid: GridSpec, arr: np.ndarray, axes) -> np.ndarray:
 
 def xi_phase_matrix(grid: GridSpec, points: np.ndarray) -> np.ndarray:
     """The (npts, v_points^d) matrix dv^d exp(i xi.v) of exact off-grid
-    evaluation at ``points`` (npts, d), v in flat C order.
+    evaluation at ``points`` (npts, d), v in flat C order: the one
+    off-grid xi evaluator, ``xi_phase_matrix(g, pts) @ coeffs`` with one
+    column of v-coefficients per x-node or mode.
 
     The phase separates over the tensor v-grid, exp(i xi.v) =
     prod_a exp(i xi_a v_a), so the matrix is a row-wise product of d
@@ -252,32 +264,6 @@ def xi_phase_matrix(grid: GridSpec, points: np.ndarray) -> np.ndarray:
         table = np.exp(1j * np.outer(points[:, a], grid.v_1d))
         out = (out[:, :, None] * table[:, None, :]).reshape(npts, -1)
     return out
-
-
-def eval_xi_offgrid(fld: PhaseField, n_index: tuple, xi_star) -> complex:
-    """Exact trigonometric evaluation of ftil(n, xi*) at arbitrary xi*.
-
-    ``n_index`` is the mode tuple (integer labels, not storage indices).
-    Agrees with v_to_xi at on-grid points to rounding.
-    """
-    g = fld.grid
-    xi_star = np.atleast_1d(np.asarray(xi_star, dtype=float))
-    if xi_star.shape != (g.d,):
-        raise ValueError(f"xi* must have {g.d} components")
-    idx = tuple(int(np.where(g.modes_1d == m)[0][0]) for m in n_index)
-    coeffs = fld.data[idx].reshape(-1, 1)
-    return complex(eval_xi_points(g, coeffs, xi_star[None, :])[0, 0])
-
-
-def eval_xi_points(grid: GridSpec, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Vectorized off-grid evaluation for a batch of xi points.
-
-    ``coeffs``: shape (v_points^d, ncols) of v-coefficients (e.g. one
-    column per x-node); ``points``: shape (npts, d).  Returns
-    (npts, ncols).  This is the exact sum dv^d sum_v c(v) exp(i xi.v),
-    one product with :func:`xi_phase_matrix`.
-    """
-    return xi_phase_matrix(grid, points) @ coeffs
 
 
 def conjugate_symmetry_defect(fld: PhaseField) -> float:

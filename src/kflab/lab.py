@@ -24,7 +24,7 @@ from .lp import (
 from .norms import (
     NormParams,
     apply_time_cutoff,
-    lp_spacetime_norm,
+    l2_spacetime_norm,
     psi_window_hb,
     sobolev_norm,
     time_profile_hb,
@@ -241,7 +241,7 @@ def _random_modulation_field(
             project_x_shell(PhaseField(grid, traj.data[j]), N), M
         )
         traj.data[j] = fld.data
-    nrm = lp_spacetime_norm(traj, 2)
+    nrm = l2_spacetime_norm(traj)
     if nrm > 0:
         traj.data /= nrm
     return traj
@@ -253,8 +253,8 @@ def _product_l2(t1: Trajectory, t2: Trajectory) -> float:
     tw = _trapz_weights(t1.n_samples, t1.dt)
     total = 0.0
     for j in range(t1.n_samples):
-        a = np.fft.ifftn(v_to_xi(t1.slice_field(j)), axes=g.n_axes) * g.n_modes**g.d
-        b = np.fft.ifftn(v_to_xi(t2.slice_field(j)), axes=g.n_axes) * g.n_modes**g.d
+        a = x_synthesize(PhaseField(g, v_to_xi(t1.slice_field(j))))
+        b = x_synthesize(PhaseField(g, v_to_xi(t2.slice_field(j))))
         total += tw[j] * g.dx**g.d * g.dxi**g.d * np.sum(np.abs(a * b) ** 2)
     return float(np.sqrt(total))
 
@@ -288,8 +288,8 @@ def bilinear_modulation_check(
                 lhs = _product_l2(u1, u2)
                 rhs = float(
                     np.sqrt(K1 * K2 * _strichartz_rhs(grid.d, N, M))
-                    * lp_spacetime_norm(u1, 2)
-                    * lp_spacetime_norm(u2, 2)
+                    * l2_spacetime_norm(u1)
+                    * l2_spacetime_norm(u2)
                 )
                 report.add_row(N, M, K1, K2, trial, lhs, rhs, lhs / rhs)
     report.validate_finite()
@@ -374,8 +374,7 @@ def gain_estimate_check(
 def _lpxi_norm_per_x(fld: PhaseField, p: float) -> np.ndarray:
     """L^p_xi norm at every x-node, shape (n_modes,)*d."""
     g = fld.grid
-    ftil = v_to_xi(fld)
-    vals = np.fft.ifftn(ftil, axes=g.n_axes) * g.n_modes**g.d
+    vals = x_synthesize(PhaseField(g, v_to_xi(fld)))
     return (g.dxi**g.d * np.sum(np.abs(vals) ** p, axis=g.v_axes)) ** (1.0 / p)
 
 

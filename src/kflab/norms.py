@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PhaseField, x_synthesize, v_to_xi
+from .grid import PhaseField
 from .lp import bump_psi
 from .trajectory import Trajectory, _trapz_weights, time_dft
 
@@ -25,7 +25,7 @@ __all__ = [
     "default_params",
     "bracket",
     "sobolev_norm",
-    "lp_spacetime_norm",
+    "l2_spacetime_norm",
     "apply_time_cutoff",
     "xsb_norm",
     "time_profile_hb",
@@ -106,33 +106,15 @@ def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:
     return float(refined_dxi**d * grid.dv ** (4 * d) * total)
 
 
-def lp_spacetime_norm(traj: Trajectory, p) -> float:
-    """L^p norm over (t, x, xi): trapezoid in t, grid sums in x and xi.
-
-    p must be 2, 4, or inf.  p = 2 uses Plancherel (equals the
-    time-integrated L2_{x,xi} norm exactly); p = 4 uses the exact
-    quartic xi-torus integral per x-node.
-    """
+def l2_spacetime_norm(traj: Trajectory) -> float:
+    """L2 norm over (t, x, xi): trapezoid in t, and by Plancherel the
+    (2 pi)^d-scaled l2_n L2_v norm per slice (equals the time-integrated
+    L2_{x,xi} norm exactly)."""
     g = traj.grid
     tw = _trapz_weights(traj.n_samples, traj.dt)
-    if p == 2:
-        axes = tuple(range(1, 2 * g.d + 1))
-        sl2 = g.dv**g.d * np.sum(np.abs(traj.data) ** 2, axis=axes)
-        return float(np.sqrt(np.sum(tw * (2.0 * np.pi) ** (2 * g.d) * sl2)))
-    if p == 4:
-        total = 0.0
-        for j in range(traj.n_samples):
-            vals = x_synthesize(traj.slice_field(j))
-            total += tw[j] * g.dx**g.d * _slice_l4_xi_4(vals, g)
-        return float(total**0.25)
-    if p == np.inf or p == "inf":
-        best = 0.0
-        for j in range(traj.n_samples):
-            ftil = v_to_xi(traj.slice_field(j))
-            vals = np.fft.ifftn(ftil, axes=g.n_axes) * g.n_modes**g.d
-            best = max(best, float(np.max(np.abs(vals))))
-        return best
-    raise ValueError(f"p must be 2, 4, or inf, got {p!r}")
+    axes = tuple(range(1, 2 * g.d + 1))
+    sl2 = g.dv**g.d * np.sum(np.abs(traj.data) ** 2, axis=axes)
+    return float(np.sqrt(np.sum(tw * (2.0 * np.pi) ** (2 * g.d) * sl2)))
 
 
 def apply_time_cutoff(traj: Trajectory, kind: str, t_inner: float = 1.0) -> Trajectory:
@@ -150,7 +132,6 @@ def apply_time_cutoff(traj: Trajectory, kind: str, t_inner: float = 1.0) -> Traj
     out = traj.copy()
     out.data = traj.data * prof[ext]
     out.cutoff = kind
-    out.cutoff_scale = scale
     return out
 
 

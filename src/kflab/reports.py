@@ -9,7 +9,10 @@ in the JSON sidecar).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .conventions import VERSION as CONVENTIONS_VERSION
 
@@ -25,15 +28,10 @@ def format_value(x) -> str:
         return repr(float(x))
     if isinstance(x, int):
         return str(x)
-    try:
-        import numpy as np
-
-        if isinstance(x, np.integer):
-            return str(int(x))
-        if isinstance(x, np.floating):
-            return repr(float(x))
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(x, np.integer):
+        return str(int(x))
+    if isinstance(x, np.floating):
+        return repr(float(x))
     return str(x)
 
 
@@ -67,8 +65,6 @@ class ExperimentReport:
 
     def validate_finite(self, name: str = "ratio") -> None:
         """Abort (raise) on any non-finite value in the named column."""
-        import numpy as np
-
         vals = np.asarray(self.column(name), dtype=float)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
@@ -102,8 +98,6 @@ class ExperimentReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def write(self, out_dir, stem: str | None = None) -> tuple:
-        import os
-
         stem = stem or self.experiment
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, stem + ".csv")
@@ -116,8 +110,6 @@ class ExperimentReport:
 
 
 def _jsonable(v):
-    import numpy as np
-
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, (np.floating,)):

@@ -34,7 +34,7 @@ from .grid import (
 )
 from .lp import bump_psi
 from .norms import NormParams, default_params, sobolev_norm, xsb_norm
-from .propagator import _nv_dot
+from .propagator import _free_phase
 from .reports import ExperimentReport
 from .trajectory import Trajectory, duhamel_integral, sample_free_evolution
 
@@ -53,6 +53,8 @@ __all__ = [
 
 # window halvings duhamel_picard tries before it gives up on contraction
 _MAX_HALVINGS = 4
+# positivity_check's tolerance for negative lobes, used by `kflab simulate`
+POSITIVITY_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,6 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
     with the classical 4-stage one-step method, g = S(-t) f, and maps
     back to the lab frame.  Rejects a step if the state norm doubles."""
     g = f0.grid
-    nv = _nv_dot(g)
     quad = config.quad
     T, dt = config.T, config.dt
     half = int(round(T / dt))
@@ -207,9 +208,9 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
     data = np.zeros((len(times),) + g.shape, dtype=np.complex128)
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        fld = PhaseField(g, state * np.exp(-1j * t * nv))
+        fld = PhaseField(g, state * _free_phase(g, t))
         q = collide(fld, quad)
-        return q.data * np.exp(1j * t * nv)
+        return q.data * _free_phase(g, -t)
 
     center = half
     data[center] = f0.data
@@ -230,8 +231,7 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
                     f"step rejected at t={t:.4g}: state norm doubled within one step"
                 )
             data[j + direction] = state
-    ext = (...,) + (None,) * (2 * g.d)
-    data = data * np.exp(-1j * times[ext] * nv[None])
+    data = data * _free_phase(g, times)
     return Trajectory(g, T, data)
 
 
@@ -290,10 +290,11 @@ def perturbation_experiment(
     return report
 
 
-def positivity_check(traj: Trajectory, threshold: float = 1e-6, t_limit=None) -> dict:
-    """Minimum of the synthesized physical density over (t, x, v);
-    passes iff min >= -threshold.  Honest detector: negative lobes in
-    the data are reported as failures."""
+def positivity_check(traj: Trajectory, threshold: float, t_limit) -> dict:
+    """Minimum of the synthesized physical density over (t, x, v) at the
+    samples with |t| <= t_limit (all samples if t_limit is None); passes
+    iff min >= -threshold.  Honest detector: negative lobes in the data
+    are reported as failures."""
     worst = np.inf
     imag = 0.0
     for j, t in enumerate(traj.times):
@@ -310,9 +311,10 @@ def positivity_check(traj: Trajectory, threshold: float = 1e-6, t_limit=None) ->
     }
 
 
-def conservation_drift(traj: Trajectory, t_limit=None) -> dict:
+def conservation_drift(traj: Trajectory, t_limit) -> dict:
     """Relative drift of total mass, momentum, and energy across the
-    sampled window (x-integrated velocity moments)."""
+    samples with |t| <= t_limit (all samples if t_limit is None), from
+    x-integrated velocity moments."""
     g = traj.grid
     dxd = g.dx**g.d
     rows = []

@@ -11,12 +11,12 @@ discrete Parseval identity reproduces the trapezoid time integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import GridSpec, PhaseField
-from .propagator import _nv_dot
+from .propagator import _free_phase
 
 __all__ = [
     "Trajectory",
@@ -34,15 +34,13 @@ class Trajectory:
     """Uniform time samples of a phase-space field on [-t_half, t_half].
 
     ``data[j]`` is the slice at ``times[j]``; ``cutoff`` records which
-    time cutoff has been applied ("none", "psi", or "psi_T" with
-    ``cutoff_scale`` the inner width T).
+    time cutoff has been applied ("none", "psi", or "psi_T").
     """
 
     grid: GridSpec
     t_half: float
     data: np.ndarray
     cutoff: str = "none"
-    cutoff_scale: float = field(default=1.0)
 
     def __post_init__(self):
         if self.data.ndim != 2 * self.grid.d + 1:
@@ -81,24 +79,17 @@ class Trajectory:
         return float(np.sqrt(dvd * np.max(np.sum(np.abs(self.data) ** 2, axis=axes))))
 
 
-def make_trajectory(
-    grid: GridSpec, t_half: float, n_samples: int, fill=None
-) -> Trajectory:
-    """Empty (zero) trajectory, or one filled from ``fill(t) -> PhaseField``."""
+def make_trajectory(grid: GridSpec, t_half: float, n_samples: int) -> Trajectory:
+    """Zero trajectory of n_samples on [-t_half, t_half]."""
     data = np.zeros((n_samples,) + grid.shape, dtype=np.complex128)
-    traj = Trajectory(grid, float(t_half), data)
-    if fill is not None:
-        for j, t in enumerate(traj.times):
-            data[j] = fill(float(t)).data
-    return traj
+    return Trajectory(grid, float(t_half), data)
 
 
 def sample_free_evolution(phi: PhaseField, t_half: float, n_samples: int) -> Trajectory:
     """Trajectory of the free flow S(t) phi on the window."""
     traj = make_trajectory(phi.grid, t_half, n_samples)
-    nv = _nv_dot(phi.grid)
     for j, t in enumerate(traj.times):
-        traj.data[j] = phi.data * np.exp(-1j * t * nv)
+        traj.data[j] = phi.data * _free_phase(phi.grid, t)
     return traj
 
 
@@ -118,11 +109,9 @@ def time_dft(traj: Trajectory) -> tuple:
     sum_k |U_k|^2 = trapezoid integral of |u(t)|^2 dt per (n, v).
     """
     g = traj.grid
-    nv = _nv_dot(g)
     w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
-    demod = np.exp(1j * traj.times[ext] * nv[None])
-    u = w[ext] * demod * traj.data
+    u = w[ext] * _free_phase(g, -traj.times) * traj.data
     big = np.fft.fft(u, axis=0) / np.sqrt(traj.n_samples)
     tau = 2.0 * np.pi * np.fft.fftfreq(traj.n_samples, d=traj.dt)
     return tau, big
@@ -133,11 +122,9 @@ def time_idft(traj: Trajectory, coeffs: np.ndarray) -> Trajectory:
     window and cutoff record."""
     g = traj.grid
     u = np.fft.ifft(coeffs, axis=0) * np.sqrt(traj.n_samples)
-    nv = _nv_dot(g)
     w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
-    remod = np.exp(-1j * traj.times[ext] * nv[None])
-    data = remod * u / w[ext]
+    data = _free_phase(g, traj.times) * u / w[ext]
     return replace(traj, data=data)
 
 
@@ -154,9 +141,7 @@ def duhamel_integral(forcing: Trajectory) -> Trajectory:
     if forcing.n_samples % 2 == 0:
         raise ValueError("need an odd sample count (t = 0 on the grid)")
     g = forcing.grid
-    nv = _nv_dot(g)
-    ext = (...,) + (None,) * (2 * g.d)
-    phase = np.exp(1j * forcing.times[ext] * nv[None])
+    phase = _free_phase(g, -forcing.times)
     inner = phase * forcing.data
     cum = cumulative_trapezoid(inner, dx=forcing.dt, axis=0, initial=0.0)
     center = forcing.n_samples // 2

@@ -124,6 +124,8 @@ def test_drivers_take_required_settings():
         counting.counting_sweep,
         counting.measure_level_set,
         solver.perturbation_experiment,
+        solver.positivity_check,
+        solver.conservation_drift,
         solver.SolverConfig,
     )
     defaults = [

@@ -116,20 +116,15 @@ def test_oracle_pairs_match_per_node_sum():
     # the oracle visits antipodal pairs with weight w_j + w_k; against the
     # sum over every node, with unequal antipodal weights and f != g
     from kflab import SphereQuadrature
-    from kflab.collision import (
-        _analyze_truncate,
-        _flatten_xv,
-        _interp_matrix,
-        _synthesize_padded,
-        _unflatten_xv,
-    )
+    from kflab import x_analyze, x_synthesize
+    from kflab.collision import _flatten_xv, _interp_matrix, _unflatten_xv
 
     g = _grid(n_modes=2, v_points=8)
     base = sphere_quadrature(2, 8)
     quad = SphereQuadrature(2, base.nodes, base.weights * (1.0 + 0.5 * base.nodes[:, 0]))
     f, h = _random_nonneg(g, 6), _random_nonneg(g, 7)
-    fv = _flatten_xv(g, _synthesize_padded(f, 2), 2).astype(np.complex64)
-    hv = _flatten_xv(g, _synthesize_padded(h, 2), 2).astype(np.complex64)
+    fv = _flatten_xv(g, x_synthesize(f), 2).astype(np.complex64)
+    hv = _flatten_xv(g, x_synthesize(h), 2).astype(np.complex64)
     vv = g.v_vectors()
     n_v = len(vv)
     out = 0.0
@@ -139,7 +134,7 @@ def test_oracle_pairs_match_per_node_sum():
         f_star = (s_op @ fv).reshape(n_v, n_v, -1)
         h_star = (s_op @ hv).reshape(n_v, n_v, -1)
         out = out + w * g.dv**2 * np.einsum("vux,uvx->vx", f_star, h_star)
-    expected = _analyze_truncate(g, _unflatten_xv(g, out, 2), 2)
+    expected = x_analyze(g, _unflatten_xv(g, out, 2))
     oracle = gain_direct_oracle(f, h, quad, dealias=False)
     assert _rel(oracle.data, expected.data) <= 1e-6
 
@@ -280,12 +275,22 @@ def test_gain_columns_match_dense(d, v_points, n_nodes):
     assert _rel(fused, _dense_gain(g, quad, fv, fv)) <= 1e-13
 
 
-def test_gain_odd_node_count_rejected():
+def test_gain_odd_node_count_rejected(tmp_path, capsys):
     from kflab import SphereQuadrature
+    from kflab.cli import run
     from kflab.collision import _gain_columns, collide_trajectory
 
     with pytest.raises(ValueError, match="even"):
         sphere_quadrature(2, 15)
+    # d=3 takes only the product counts 2k^2, k >= 2, and names the nearest
+    with pytest.raises(ValueError, match="got 16; nearest: 8 or 18"):
+        sphere_quadrature(3, 16)
+    with pytest.raises(ValueError, match="nearest: 8$"):
+        sphere_quadrature(3, 6)
+    assert sphere_quadrature(3, 8).n_nodes == 8
+    code = run(["gain-check", "d=3", "nodes=16", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "got 16" in capsys.readouterr().err
     # a hand-built odd circle rule has no antipodal pairs
     theta = 2.0 * np.pi * np.arange(15) / 15
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -301,19 +306,14 @@ def test_gain_odd_node_count_rejected():
 
 def test_collide_matches_dense_gain():
     g = make_grid(d=2, n_modes=4, v_points=16, v_extent=6.0)
-    from kflab.collision import (
-        _analyze_truncate,
-        _flatten_xv,
-        _padded_count,
-        _synthesize_padded,
-        _unflatten_xv,
-    )
+    from kflab import x_analyze, x_synthesize
+    from kflab.collision import _flatten_xv, _padded_count, _unflatten_xv
 
     f = _random_nonneg(g, 14)
     quad = sphere_quadrature(2, 16)
     m = _padded_count(g.n_modes, True)
-    fv = _flatten_xv(g, _synthesize_padded(f, m), m)
-    gain = _analyze_truncate(g, _unflatten_xv(g, _dense_gain(g, quad, fv, fv), m), m)
+    fv = _flatten_xv(g, x_synthesize(f, m), m)
+    gain = x_analyze(g, _unflatten_xv(g, _dense_gain(g, quad, fv, fv), m), m)
     loss = loss_bobylev(f, f, area=float(np.sum(quad.weights)))
     assert _rel(collide(f, quad).data, gain.data - loss.data) <= 1e-13
 

@@ -7,7 +7,6 @@ from kflab import (
     GridSpec,
     PhaseField,
     conjugate_symmetry_defect,
-    eval_xi_offgrid,
     load_field,
     make_grid,
     random_field,
@@ -15,8 +14,10 @@ from kflab import (
     v_to_xi,
     x_analyze,
     x_synthesize,
+    xi_phase_matrix,
     xi_to_v,
 )
+from kflab.collision import _padded_count
 
 
 def test_make_grid_spacing():
@@ -66,6 +67,21 @@ def test_x_roundtrip_random():
     assert np.allclose(back.data, fld.data, atol=1e-13)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_x_padded_roundtrip(d):
+    # synthesis on an m^d x-grid (zero-padded modes) then analysis and
+    # truncation returns the stored modes, Nyquist slot included
+    g = make_grid(d=d, n_modes=4, v_points=4, v_extent=2.0)
+    fld = random_field(g, seed=10 + d)
+    for m in (g.n_modes, _padded_count(g.n_modes, True)):
+        vals = x_synthesize(fld, m)
+        assert vals.shape == (m,) * d + (g.v_points,) * d
+        back = x_analyze(g, vals, m)
+        assert np.max(np.abs(back.data - fld.data)) <= 1e-14
+    with pytest.raises(ValueError, match="does not match grid"):
+        x_analyze(g, x_synthesize(fld, 6), 8)
+
+
 def test_v_to_xi_gaussian_analytic():
     # ftil(xi) = integral e^{-|v|^2} e^{+i xi.v} dv = pi^{d/2} e^{-|xi|^2/4}
     g = make_grid(d=2, n_modes=2, v_points=64, v_extent=8.0)
@@ -102,14 +118,15 @@ def test_eval_xi_on_grid_consistency():
     ftil = v_to_xi(fld)
     k = 3
     xi_star = g.xi_1d[k] * np.array([1.0, 0.0]) + g.xi_1d[1] * np.array([0.0, 1.0])
-    val = eval_xi_offgrid(fld, (0, 0), xi_star)
+    val = (xi_phase_matrix(g, xi_star[None]) @ fld.data[0, 0].ravel())[0]
     assert val == pytest.approx(complex(ftil[0, 0, k, 1]), abs=1e-12)
 
 
 def test_eval_xi_zero_is_v_integral():
     g = make_grid(d=2, n_modes=4, v_points=8, v_extent=4.0)
     fld = random_field(g, seed=4)
-    val = eval_xi_offgrid(fld, (1, 2), np.zeros(2))
+    # mode (1, 2) sits at storage index (1, 2) on the 4-mode grid
+    val = (xi_phase_matrix(g, np.zeros((1, 2))) @ fld.data[1, 2].ravel())[0]
     expected = g.dv**g.d * np.sum(fld.data[1, 2])
     assert val == pytest.approx(complex(expected), abs=1e-13)
 
@@ -121,7 +138,7 @@ def test_eval_xi_gaussian_offgrid():
     data = np.zeros(g.shape, dtype=np.complex128)
     data[0, 0] = h
     xi_star = np.array([0.3, -0.7])
-    val = eval_xi_offgrid(PhaseField(g, data), (0, 0), xi_star)
+    val = (xi_phase_matrix(g, xi_star[None]) @ data[0, 0].ravel())[0]
     expected = np.pi * np.exp(-np.sum(xi_star**2) / 4.0)
     assert val == pytest.approx(expected, abs=1e-6)
 

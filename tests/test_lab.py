@@ -21,6 +21,7 @@ from kflab import (
     strichartz_scan,
 )
 from kflab.lab import _free_l4_norm
+from kflab.propagator import _nv_dot
 from kflab.trajectory import _trapz_weights
 
 
@@ -64,7 +65,7 @@ def _dense_free_l4_norm(phi, t_half, n_time, single=False):
 
     g = phi.grid
     d, p = g.d, g.v_points
-    nv = g.nv_dot()
+    nv = _nv_dot(g)
     dt = 2.0 * t_half / (n_time - 1)
     tw = _trapz_weights(n_time, dt)
     dtype = np.complex64 if single else np.complex128

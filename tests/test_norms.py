@@ -10,7 +10,7 @@ from kflab import (
     default_params,
     duhamel_integral,
     free_evolve,
-    lp_spacetime_norm,
+    l2_spacetime_norm,
     make_grid,
     make_trajectory,
     psi_window_hb,
@@ -106,7 +106,7 @@ def test_lp_constant_trajectory():
     traj = make_trajectory(g, T, 9)
     traj.data = traj.data + fld.data[None]
     # the space-time norm carries the (2pi)^d xi-Plancherel factor
-    assert lp_spacetime_norm(traj, 2) == pytest.approx(
+    assert l2_spacetime_norm(traj) == pytest.approx(
         (2.0 * np.pi) ** 2 * np.sqrt(2.0 * T) * fld.l2_norm(), rel=1e-12
     )
 
@@ -115,23 +115,27 @@ def test_lp_p2_free_evolution_invariant():
     g = _grid()
     phi = random_field(g, seed=4)
     traj = sample_free_evolution(phi, 1.0, 9)
-    assert lp_spacetime_norm(traj, 2) == pytest.approx(
+    assert l2_spacetime_norm(traj) == pytest.approx(
         (2.0 * np.pi) ** 2 * np.sqrt(2.0) * phi.l2_norm(), rel=1e-12
     )
 
 
 def test_lp_p4_against_brute_force():
-    # brute force: evaluate the xi-side field on a refined xi grid
-    from kflab import x_synthesize
-    from kflab.grid import eval_xi_points
+    # the exact quartic slice integral against brute force: evaluate the
+    # xi-side field on a refined xi grid
+    from kflab import x_synthesize, xi_phase_matrix
+    from kflab.norms import _slice_l4_xi_4
 
     for d, refine in ((2, 8), (3, 4)):
         g = make_grid(d=d, n_modes=2, v_points=4, v_extent=2.0)
         traj = sample_free_evolution(random_field(g, seed=5), 0.5, 5)
-        val = lp_spacetime_norm(traj, 4)
-        total = 0.0
         w = np.full(5, traj.dt)
         w[0] = w[-1] = traj.dt / 2.0
+        val4 = sum(
+            w[j] * g.dx**d * _slice_l4_xi_4(x_synthesize(traj.slice_field(j)), g)
+            for j in range(5)
+        )
+        total = 0.0
         xi1 = -np.pi / g.dv + (2 * np.pi / g.dv) * np.arange(
             refine * g.v_points
         ) / (refine * g.v_points)
@@ -139,13 +143,14 @@ def test_lp_p4_against_brute_force():
             [a.ravel() for a in np.meshgrid(*([xi1] * d), indexing="ij")], axis=1
         )
         dxi_f = (xi1[1] - xi1[0]) ** d
+        phase = xi_phase_matrix(g, pts)
         for j in range(5):
             vals_x = x_synthesize(traj.slice_field(j))
             for ix in np.ndindex(*(g.n_modes,) * d):
                 coeffs = vals_x[ix].reshape(-1, 1)
-                u = eval_xi_points(g, coeffs, pts)[:, 0]
+                u = (phase @ coeffs)[:, 0]
                 total += w[j] * g.dx**d * dxi_f * np.sum(np.abs(u) ** 4)
-        assert val**4 == pytest.approx(total, rel=1e-10), d
+        assert val4 == pytest.approx(total, rel=1e-10), d
 
 
 def test_time_cutoff_plateau_support_double():
@@ -169,7 +174,7 @@ def test_xsb_zero_indices_is_l2t():
     # xsb_norm is reported on the (n, v) side; the space-time L2 carries
     # the extra (2pi)^d constant
     assert (2.0 * np.pi) ** 2 * xsb_norm(cut, params) == pytest.approx(
-        lp_spacetime_norm(cut, 2), rel=1e-10
+        l2_spacetime_norm(cut), rel=1e-10
     )
 
 
