@@ -20,10 +20,16 @@ fixed blocks so the elementwise work stays in cache.
 Everything is evaluated per x-node; quadratic products in x are
 dealiased by zero-padded synthesis (3/2 rule), on by default, through
 the x-transform pair of :mod:`kflab.grid` at the padded size
-(``x_synthesize(f, m)``, ``x_analyze(grid, values, m)``), which also
-owns the Nyquist-slot convention.  ``collide_trajectory`` forms the loss
-from the same synthesized columns as the gain and analyzes gain minus
-loss once per slice; ``collide`` is its one-slice case.
+(``x_synthesize(f, sizes)``, ``x_analyze(grid, values, sizes)``), which
+also owns the Nyquist-slot convention.  The padded grid is sized per
+axis from the data's exact x-support (``_collision_x_sizes``): an axis
+along which every coefficient with n_a != 0 is exactly zero gets one
+x-node, since Q is local in x and so keeps x_a-invariant data
+x_a-invariant.  The gain, the loss and ``collide_trajectory`` share
+that rule; the physical-space oracle stays on the full padded grid.
+``collide_trajectory`` forms the loss from the same synthesized columns
+as the gain and analyzes gain minus loss once per slice; ``collide`` is
+its one-slice case.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .grid import (
     GridSpec,
     PhaseField,
     _check_same_grid,
+    _x_sizes,
     _xi_to_v_inplace,
     x_analyze,
     x_synthesize,
@@ -138,14 +145,31 @@ def _padded_count(n_modes: int, dealias: bool) -> int:
     return m + (m % 2)
 
 
-def _flatten_xv(grid: GridSpec, values: np.ndarray, m: int) -> np.ndarray:
-    """(m..x.., P..v..) -> (P^d, m^d): one v-coefficient column per x-node."""
-    x_size, v_size = m**grid.d, grid.v_points**grid.d
+def _collision_x_sizes(grid: GridSpec, fields, dealias: bool) -> tuple:
+    """Per-axis sizes of the padded x-grid on which the collision of
+    ``fields`` (arrays of grid.shape) is evaluated: the padded count on
+    an axis where some coefficient with n_a != 0 is nonzero, 1 on an axis
+    along which every field is exactly invariant.  Q is local in x, so Q
+    of x_a-invariant data is x_a-invariant and one x-node carries it.
+    The test is exact: a nonzero coefficient of any size keeps its axis."""
+    m = _padded_count(grid.n_modes, dealias)
+    support = np.zeros((grid.n_modes,) * grid.d, dtype=bool)
+    for data in fields:
+        support |= np.any(data, axis=grid.v_axes)
+    return tuple(
+        m if np.delete(support, 0, axis=a).any() else 1 for a in range(grid.d)
+    )
+
+
+def _flatten_xv(grid: GridSpec, values: np.ndarray, m) -> np.ndarray:
+    """(x-grid of sizes m, P..v..) -> (P^d, prod sizes): one v-coefficient
+    column per x-node."""
+    x_size, v_size = math.prod(_x_sizes(grid, m)), grid.v_points**grid.d
     return values.reshape(x_size, v_size).T
 
 
-def _unflatten_xv(grid: GridSpec, cols: np.ndarray, m: int) -> np.ndarray:
-    return cols.T.reshape((m,) * grid.d + (grid.v_points,) * grid.d)
+def _unflatten_xv(grid: GridSpec, cols: np.ndarray, m) -> np.ndarray:
+    return cols.T.reshape(_x_sizes(grid, m) + (grid.v_points,) * grid.d)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +309,19 @@ def gain_bobylev(
 
     Per x-node, evaluates ``sum_j w_j ftil(xi_plus_j) gtil(xi_minus_j)``
     on the xi-grid by exact off-grid trigonometric sums, then transforms
-    back to the (n, v) representation.
+    back to the (n, v) representation.  The x-grid is sized by
+    _collision_x_sizes on f and g together.
     """
     _check_same_grid(f, g)
     grid = f.grid
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
-    m = _padded_count(grid.n_modes, dealias)
-    fv = _flatten_xv(grid, x_synthesize(f, m), m)
     same = g is f or np.array_equal(g.data, f.data)
-    gv = fv if same else _flatten_xv(grid, x_synthesize(g, m), m)
+    sizes = _collision_x_sizes(grid, (f.data, g.data), dealias)
+    fv = _flatten_xv(grid, x_synthesize(f, sizes), sizes)
+    gv = fv if same else _flatten_xv(grid, x_synthesize(g, sizes), sizes)
     gain_v = _gain_columns(grid, quad, fv, gv)
-    values = _unflatten_xv(grid, gain_v, m)
-    return x_analyze(grid, values, m)
+    return x_analyze(grid, _unflatten_xv(grid, gain_v, sizes), sizes)
 
 
 def collide_trajectory(
@@ -315,6 +339,11 @@ def collide_trajectory(
     zero).  The loss, area * f(x, v) * dv^d sum_u f(x, u) with area the
     quadrature's total weight, comes from the same synthesized columns,
     and each slice is analyzed once.
+
+    The padded x-grid is sized per axis from the active slices
+    (_collision_x_sizes): an axis along which every active slice is
+    exactly invariant gets one x-node, so x-1D data on the 12x12 grid of
+    n_modes = 8 cost 12 gain columns per slice, not 144.
     """
     return _collide_stack(stack, grid, quad, dealias, active)
 
@@ -330,13 +359,13 @@ def _collide_stack(stack, grid, quad, dealias, active):
     out = np.zeros_like(stack)
     if idx.size == 0:
         return out
-    m = _padded_count(grid.n_modes, dealias)
-    n_x = m**grid.d
+    sizes = _collision_x_sizes(grid, (stack[j] for j in idx), dealias)
+    n_x = math.prod(sizes)
     cols = np.empty((grid.v_points**grid.d, n_x * idx.size), dtype=np.complex128)
     for pos, j in enumerate(idx):
         fld = PhaseField(grid, stack[j])
         cols[:, pos * n_x : (pos + 1) * n_x] = _flatten_xv(
-            grid, x_synthesize(fld, m), m
+            grid, x_synthesize(fld, sizes), sizes
         )
     q_v = _gain_columns(grid, quad, cols, cols)
     area = float(np.sum(quad.weights))
@@ -344,7 +373,7 @@ def _collide_stack(stack, grid, quad, dealias, active):
         sl = slice(pos * n_x, (pos + 1) * n_x)
         mass = grid.dv**grid.d * cols[:, sl].sum(axis=0)
         q_v[:, sl] -= cols[:, sl] * (area * mass)
-        out[j] = x_analyze(grid, _unflatten_xv(grid, q_v[:, sl], m), m).data
+        out[j] = x_analyze(grid, _unflatten_xv(grid, q_v[:, sl], sizes), sizes).data
     return out
 
 
@@ -354,18 +383,20 @@ def loss_bobylev(
     """Loss term: area * f(x, v) * (discrete integral of g(x, .) dv).
 
     ``area`` defaults to the full sphere measure; pass the total weight of
-    a quadrature to keep gain and loss on the same angular measure.
+    a quadrature to keep gain and loss on the same angular measure.  The
+    x-grid is sized by _collision_x_sizes on f and g together.
     """
     _check_same_grid(f, g)
     grid = f.grid
-    m = _padded_count(grid.n_modes, dealias)
-    fx = x_synthesize(f, m)
-    gx = fx if (g is f or np.array_equal(g.data, f.data)) else x_synthesize(g, m)
+    same = g is f or np.array_equal(g.data, f.data)
+    sizes = _collision_x_sizes(grid, (f.data, g.data), dealias)
+    fx = x_synthesize(f, sizes)
+    gx = fx if same else x_synthesize(g, sizes)
     g0 = grid.dv**grid.d * gx.sum(axis=tuple(range(grid.d, 2 * grid.d)))
     if area is None:
         area = sphere_area(grid.d)
     values = area * fx * g0[(...,) + (None,) * grid.d]
-    return x_analyze(grid, values, m)
+    return x_analyze(grid, values, sizes)
 
 
 def _interp_matrix(grid: GridSpec, points: np.ndarray) -> sparse.csr_matrix:

@@ -8,6 +8,7 @@ rounding); see :mod:`kflab.conventions` for the normalization sheet.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -169,36 +170,66 @@ def make_grid(d: int, n_modes: int, v_extent: float, v_points: int) -> GridSpec:
     return GridSpec(d=d, n_modes=n_modes, v_extent=float(v_extent), v_points=v_points)
 
 
-def _embed_indices(grid: GridSpec, m: int) -> list:
-    """Per axis, the FFT-order index on an m-point x-grid of each stored
-    mode; the Nyquist slot, labelled +n_modes/2, goes to +n_modes/2."""
-    return [grid.modes_1d % m for _ in range(grid.d)]
+def _x_sizes(grid: GridSpec, m) -> tuple:
+    """Per-axis x-grid sizes from ``m``: None (n_modes on every axis), an
+    int, or a sequence of d sizes, each 1 or at least n_modes."""
+    m = grid.n_modes if m is None else m
+    sizes = (int(m),) * grid.d if np.ndim(m) == 0 else tuple(int(s) for s in m)
+    if len(sizes) != grid.d or any(s != 1 and s < grid.n_modes for s in sizes):
+        raise ValueError(
+            f"x-grid sizes {sizes} need d={grid.d} entries, each 1 or >= {grid.n_modes}"
+        )
+    return sizes
 
 
-def x_synthesize(fld: PhaseField, m: int | None = None) -> np.ndarray:
-    """Values f(x, v) on the m^d x-grid (m defaults to n_modes), shape
-    (m,)*d + (P,)*d: the stored modes are embedded at their labels with
-    zeros elsewhere (m > n_modes zero-pads for dealiased products), then
-    inverse x-DFT per fixed v."""
+def _embed_indices(grid: GridSpec, m) -> tuple:
+    """(kept, slots) for the x-grid of sizes ``m``: per axis, the stored
+    mode indices that live on it and their FFT-order index there.  A full
+    axis keeps every mode, the Nyquist slot (labelled +n_modes/2) going
+    to +n_modes/2; a size-1 axis keeps the n_a = 0 slot alone."""
+    sizes = _x_sizes(grid, m)
+    kept = [np.arange(grid.n_modes if size > 1 else 1) for size in sizes]
+    return kept, [grid.modes_1d[k] % size for k, size in zip(kept, sizes)]
+
+
+def x_synthesize(fld: PhaseField, m=None) -> np.ndarray:
+    """Values f(x, v) on the x-grid of sizes ``m`` (an int for every axis,
+    or one size per axis; n_modes by default), shape sizes + (P,)*d: the
+    stored modes are embedded at their labels with zeros elsewhere (a
+    size above n_modes zero-pads for dealiased products), then inverse
+    x-DFT per fixed v.
+
+    A size of 1 on axis a takes the n_a = 0 slab alone, so the values are
+    constant along x_a; a nonzero coefficient with n_a != 0 is then a
+    ValueError, since it would be dropped."""
     g = fld.grid
-    m = g.n_modes if m is None else m
-    if m == g.n_modes:
+    sizes = _x_sizes(g, m)
+    if sizes == (g.n_modes,) * g.d:
         big = fld.data
     else:
-        big = np.zeros((m,) * g.d + (g.v_points,) * g.d, dtype=np.complex128)
-        big[np.ix_(*_embed_indices(g, m))] = fld.data
-    return np.fft.ifftn(big, axes=g.n_axes) * m**g.d
+        kept, slots = _embed_indices(g, sizes)
+        sub = fld.data[np.ix_(*kept)]
+        if np.count_nonzero(sub) != np.count_nonzero(fld.data):
+            raise ValueError(f"x-grid sizes {sizes} would drop nonzero modes")
+        big = np.zeros(sizes + (g.v_points,) * g.d, dtype=np.complex128)
+        big[np.ix_(*slots)] = sub
+    return np.fft.ifftn(big, axes=g.n_axes) * math.prod(sizes)
 
 
-def x_analyze(grid: GridSpec, values: np.ndarray, m: int | None = None) -> PhaseField:
-    """Inverse of x_synthesize on the m^d x-grid, followed by truncation
-    to the stored modes."""
-    m = grid.n_modes if m is None else m
-    if values.shape != (m,) * grid.d + (grid.v_points,) * grid.d:
+def x_analyze(grid: GridSpec, values: np.ndarray, m=None) -> PhaseField:
+    """Inverse of x_synthesize on the x-grid of sizes ``m``, followed by
+    truncation to the stored modes.  On a size-1 axis the values are
+    constant along x_a: they give the n_a = 0 slab, and every n_a != 0
+    coefficient is an exact zero."""
+    sizes = _x_sizes(grid, m)
+    if values.shape != sizes + (grid.v_points,) * grid.d:
         raise ValueError(f"values shape {values.shape} does not match grid")
-    coeffs = np.fft.fftn(values, axes=grid.n_axes) / m**grid.d
-    if m != grid.n_modes:
-        coeffs = coeffs[np.ix_(*_embed_indices(grid, m))]
+    coeffs = np.fft.fftn(values, axes=grid.n_axes) / math.prod(sizes)
+    if sizes != (grid.n_modes,) * grid.d:
+        kept, slots = _embed_indices(grid, sizes)
+        out = np.zeros(grid.shape, dtype=np.complex128)
+        out[np.ix_(*kept)] = coeffs[np.ix_(*slots)]
+        coeffs = out
     return PhaseField(grid, coeffs)
 
 

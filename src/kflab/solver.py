@@ -21,6 +21,7 @@ import numpy as np
 
 from .collision import (
     SphereQuadrature,
+    _collision_x_sizes,
     collide,
     collide_trajectory,
     moments,
@@ -53,6 +54,10 @@ __all__ = [
 
 # window halvings duhamel_picard tries before it gives up on contraction
 _MAX_HALVINGS = 4
+# the window halves when the contraction ratio after this sweep exceeds
+# this threshold
+_HALVE_SWEEP = 3
+_HALVE_RATIO = 0.9
 # positivity_check's tolerance for negative lobes, used by `kflab simulate`
 POSITIVITY_THRESHOLD = 1e-6
 
@@ -100,6 +105,10 @@ class IterationReport:
     t_final: float = 0.0
     realness_defect: float = 0.0
     message: str = ""
+    # per-axis x-grid sizes of the final sweep's collision
+    collision_x_sizes: list = field(default_factory=list)
+    # one {sweep, ratio, threshold, T} record per halving, in order
+    halvings_reasons: list = field(default_factory=list)
 
     def ratios(self) -> list:
         eps = 10 * np.finfo(float).eps
@@ -118,19 +127,29 @@ class IterationReport:
             "t_final": self.t_final,
             "realness_defect": self.realness_defect,
             "message": self.message,
+            "collision_x_sizes": self.collision_x_sizes,
+            "halvings_reasons": self.halvings_reasons,
         }
 
 
 def maxwellian_perturbed(grid: GridSpec, eps: float = 0.0, mode=None) -> PhaseField:
     """exp(-|v|^2) times (1 + eps cos(mode . x)); the unperturbed
-    Maxwellian is a collision equilibrium."""
+    Maxwellian is a collision equilibrium.  ``mode`` must have d entries,
+    each |m_a| < n_modes/2 (the +n_modes/2 slot has no stored partner);
+    anything else is a ValueError."""
+    if mode is not None:
+        mode = tuple(int(m) for m in mode)
+        if len(mode) != grid.d or any(2 * abs(m) >= grid.n_modes for m in mode):
+            raise ValueError(
+                f"mode {','.join(map(str, mode))} needs d={grid.d} entries, "
+                f"each |m| < n_modes/2 = {grid.n_modes // 2}"
+            )
     vv = grid.v_vectors()
     mu = np.exp(-np.sum(vv**2, axis=1)).reshape((grid.v_points,) * grid.d)
     data = np.zeros(grid.shape, dtype=np.complex128)
     zero = (0,) * grid.d
     data[zero] = mu
     if eps and mode is not None:
-        mode = tuple(int(m) for m in mode)
         plus = tuple(m % grid.n_modes for m in mode)
         minus = tuple((-m) % grid.n_modes for m in mode)
         data[plus] += 0.5 * eps * mu
@@ -150,10 +169,13 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
 
     report = IterationReport(t_final=T, realness_defect=conjugate_symmetry_defect(f0))
     cur = Trajectory(g, 2.0 * T, linear.copy(), cutoff="psi")
-    need_halve = False
+    halve = None
     for k in range(config.max_picard):
         active = np.array(
             [psi_t[j] != 0.0 and bool(np.any(cur.data[j])) for j in range(n_samples)]
+        )
+        report.collision_x_sizes = list(
+            _collision_x_sizes(g, (cur.data[j] for j in np.flatnonzero(active)), True)
         )
         q_all = collide_trajectory(cur.data, g, config.quad, active=active)
         forcing = Trajectory(g, 2.0 * T, psi_t[ext] * q_all)
@@ -167,31 +189,34 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
             report.converged = True
             break
         ratios = report.ratios()
-        if k == 2 and ratios and ratios[-1] > 0.9:
-            need_halve = True
+        if k + 1 == _HALVE_SWEEP and ratios and ratios[-1] > _HALVE_RATIO:
+            halve = {"sweep": k + 1, "ratio": float(ratios[-1]),
+                     "threshold": _HALVE_RATIO, "T": T}
             break
-    if not report.converged and not need_halve:
+    if not report.converged and halve is None:
         report.message = "iteration cap reached without meeting tol"
-    return cur, report, need_halve
+    return cur, report, halve
 
 
 def duhamel_picard(f0: PhaseField, config: SolverConfig):
     """Picard-iterate the cutoff Duhamel map; returns (trajectory,
     report).  If the contraction ratio exceeds 0.9 at iteration 3, the
-    window is halved and the solve restarts (up to _MAX_HALVINGS);
-    non-convergence at the cap is flagged in the report, not raised."""
+    window is halved and the solve restarts (up to _MAX_HALVINGS), and
+    the report's halvings_reasons records why; non-convergence at the
+    cap is flagged in the report, not raised."""
     T, dt = config.T, config.dt
-    halvings = 0
+    reasons = []
     while True:
-        traj, report, need_halve = _picard_once(f0, config, T, dt)
-        if need_halve and halvings < _MAX_HALVINGS:
-            halvings += 1
+        traj, report, halve = _picard_once(f0, config, T, dt)
+        if halve is not None and len(reasons) < _MAX_HALVINGS:
+            reasons.append(halve)
             T *= 0.5
             dt *= 0.5
             continue
-        report.halvings = halvings
+        report.halvings = len(reasons)
+        report.halvings_reasons = reasons
         report.t_final = T
-        if need_halve:
+        if halve is not None:
             report.message = "contraction not achieved after max halvings"
         return traj, report
 

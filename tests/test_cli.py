@@ -34,6 +34,9 @@ def test_simulate_end_to_end(tmp_path):
     assert any(n.startswith("snapshot_") and n.endswith(".kfl") for n in names)
     payload = json.loads((tmp_path / "iteration_report.json").read_text())
     assert payload["deltas_sup"]
+    # the run's path: mode (1, 0) data collide on one x_2 node
+    assert payload["collision_x_sizes"] == [6, 1]
+    assert len(payload["halvings_reasons"]) == payload["halvings"]
 
 
 def test_missing_config_exit_1(tmp_path, capsys):

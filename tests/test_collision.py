@@ -391,3 +391,108 @@ def test_collide_trajectory_partial_mask_matches_per_slice():
         f = PhaseField(g, stack[j])
         expected = gain_bobylev(f, f, quad).data - loss_bobylev(f, f, area=area).data
         assert _rel(q[j], expected) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# The x-support rule: an axis along which the data are exactly invariant
+# is collided on one x-node; the full padded grid is the reference.
+
+
+def _full_grid_collision(f, quad):
+    """(gain, gain - loss) of f on the full m^d padded x-grid, the gain by
+    the dense per-entry sum."""
+    from kflab import x_analyze, x_synthesize
+    from kflab.collision import _flatten_xv, _padded_count, _unflatten_xv
+
+    g = f.grid
+    m = _padded_count(g.n_modes, True)
+    fv = _flatten_xv(g, x_synthesize(f, m), m)
+    gain = _dense_gain(g, quad, fv, fv)
+    mass = g.dv**g.d * fv.sum(axis=0)
+    q = gain - fv * (float(np.sum(quad.weights)) * mass)
+    return tuple(x_analyze(g, _unflatten_xv(g, c, m), m).data for c in (gain, q))
+
+
+def _x_invariant_case(d, flat_axes, seed):
+    """The Maxwellian if every axis is flat; otherwise Maxwellian x
+    (1 + 0.1 cos x_1) plus a small random perturbation, with every mode
+    n_a != 0, a in flat_axes, exactly zero."""
+    g = make_grid(d=d, n_modes=4, v_points=16 if d == 2 else 8, v_extent=6.0)
+    if len(flat_axes) == d:
+        return maxwellian_perturbed(g, eps=0.0)
+    data = maxwellian_perturbed(g, eps=0.1, mode=(1,) + (0,) * (d - 1)).data
+    rng = np.random.default_rng(seed)
+    data = data + 1e-2 * (rng.standard_normal(g.shape) + 0j)
+    for a in flat_axes:
+        shape = [1] * data.ndim
+        shape[a] = g.n_modes
+        data = data * (np.arange(g.n_modes) == 0).reshape(shape)
+    return PhaseField(g, data)
+
+
+@pytest.mark.parametrize(
+    "d, flat_axes, sizes",
+    [(2, (1,), (6, 1)), (2, (0, 1), (1, 1)), (3, (2,), (6, 6, 1)), (3, (1, 2), (6, 1, 1))],
+)
+def test_collision_x_support_matches_full_grid(d, flat_axes, sizes):
+    from kflab.collision import _collision_x_sizes, collide_trajectory
+
+    f = _x_invariant_case(d, flat_axes, 23)
+    quad = sphere_quadrature(d, 16 if d == 2 else 8)
+    assert _collision_x_sizes(f.grid, [f.data], True) == sizes
+    gain_ref, q_ref = _full_grid_collision(f, quad)
+    scale = np.max(np.abs(gain_ref))
+    gain = gain_bobylev(f, f, quad).data
+    q = collide_trajectory(f.data[None], f.grid, quad)[0]
+    assert np.max(np.abs(gain - gain_ref)) <= 1e-13 * scale
+    assert np.max(np.abs(q - q_ref)) <= 1e-13 * scale
+    # Q of x_a-invariant data is x_a-invariant: exact zeros off the slab
+    assert not np.any(q[f.data == 0]) and not np.any(gain[f.data == 0])
+
+
+def _spy_columns(monkeypatch):
+    from kflab import collision
+
+    counts = []
+    gain_columns = collision._gain_columns
+
+    def spy(grid, quad, fv, gv):
+        counts.append(fv.shape[1])
+        return gain_columns(grid, quad, fv, gv)
+
+    monkeypatch.setattr(collision, "_gain_columns", spy)
+    return counts
+
+
+def test_collision_columns_follow_x_support(monkeypatch):
+    from kflab.collision import collide_trajectory
+
+    g = make_grid(d=2, n_modes=8, v_points=8, v_extent=6.0)
+    quad = sphere_quadrature(2, 8)
+    counts = _spy_columns(monkeypatch)
+    rng = np.random.default_rng(24)
+    stack = np.zeros((3,) + g.shape, dtype=np.complex128)
+    stack[:, :, 0] = rng.standard_normal((3, g.n_modes) + (g.v_points,) * 2)
+    collide_trajectory(stack, g, quad)
+    assert counts == [3 * 12]
+    # one tiny coefficient off the n_2 = 0 slab keeps the full grid
+    stack[1, 2, 5, 3, 3] = 1e-300
+    collide_trajectory(stack, g, quad)
+    assert counts[-1] == 3 * 144
+    # gain and loss size the grid on f and g together
+    f, h = PhaseField(g, stack[0]), PhaseField(g, stack[1])
+    gain_bobylev(f, f, quad)
+    assert counts[-1] == 12
+    gain_bobylev(f, h, quad)
+    assert counts[-1] == 144
+
+
+def test_d3_x1_data_collide_on_one_x_axis(monkeypatch):
+    from kflab.collision import _collision_x_sizes
+
+    g = make_grid(d=3, n_modes=4, v_points=8, v_extent=6.0)
+    f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0, 0))
+    assert _collision_x_sizes(g, [f0.data], True) == (6, 1, 1)
+    counts = _spy_columns(monkeypatch)
+    collide(f0, sphere_quadrature(3, 8))
+    assert counts == [6]

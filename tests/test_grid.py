@@ -82,6 +82,50 @@ def test_x_padded_roundtrip(d):
         x_analyze(g, x_synthesize(fld, 6), 8)
 
 
+def _invariant_along(fld, axes):
+    """fld with every coefficient whose n_a != 0 for an a in ``axes`` zeroed."""
+    data = fld.data.copy()
+    for a in axes:
+        keep = np.zeros(fld.grid.n_modes, dtype=bool)
+        keep[0] = True
+        shape = [1] * data.ndim
+        shape[a] = fld.grid.n_modes
+        data = data * keep.reshape(shape)
+    return PhaseField(fld.grid, data)
+
+
+@pytest.mark.parametrize("d, sizes", [(2, (6, 1)), (2, (1, 6)), (2, (1, 1)),
+                                      (3, (6, 1, 6)), (3, (1, 4, 1)), (3, (6, 6, 6))])
+def test_x_roundtrip_per_axis_sizes(d, sizes):
+    # a size-1 axis carries the n_a = 0 slab alone: the synthesis is
+    # constant along it, and analysis writes exact zeros for n_a != 0
+    g = make_grid(d=d, n_modes=4, v_points=4, v_extent=2.0)
+    flat = [a for a in range(d) if sizes[a] == 1]
+    fld = _invariant_along(random_field(g, seed=20 + d), flat)
+    vals = x_synthesize(fld, sizes)
+    assert vals.shape == sizes + (g.v_points,) * d
+    full = x_synthesize(fld, [4 if s == 1 else s for s in sizes])
+    for a in flat:
+        assert np.max(np.abs(full - np.take(vals, [0], axis=a))) <= 1e-14
+    back = x_analyze(g, vals, sizes)
+    assert np.max(np.abs(back.data - fld.data)) <= 1e-14
+    assert not np.any(back.data[fld.data == 0])
+
+
+def test_x_synthesize_size_one_rejects_dropped_mode():
+    g = make_grid(d=2, n_modes=4, v_points=4, v_extent=2.0)
+    fld = _invariant_along(random_field(g, seed=30), [1])
+    x_synthesize(fld, (6, 1))
+    fld.data[1, 3, 0, 0] = 1e-300
+    for sizes in ((6, 1), (1, 6)):
+        with pytest.raises(ValueError, match="would drop nonzero modes"):
+            x_synthesize(fld, sizes)
+    # sizes must be d entries, each 1 or at least n_modes
+    for bad in ((6,), (6, 2), (6, 6, 6)):
+        with pytest.raises(ValueError, match="x-grid sizes"):
+            x_synthesize(fld, bad)
+
+
 def test_v_to_xi_gaussian_analytic():
     # ftil(xi) = integral e^{-|v|^2} e^{+i xi.v} dv = pi^{d/2} e^{-|xi|^2/4}
     g = make_grid(d=2, n_modes=2, v_points=64, v_extent=8.0)

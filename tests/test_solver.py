@@ -183,3 +183,53 @@ def test_config_validation():
     g = _grid()
     with pytest.raises(ValueError):
         SolverConfig(grid=g, T=0.125, dt=0.25, quad=_QUAD, max_picard=12, tol=1e-10)
+
+
+def test_maxwellian_perturbed_rejects_bad_mode(tmp_path, capsys):
+    from kflab.cli import run
+
+    g3 = make_grid(d=3, n_modes=4, v_points=8, v_extent=6.0)
+    # a d=2 mode on a d=3 grid would perturb every n_3 on the (+-1, 0) lines
+    with pytest.raises(ValueError, match="mode 1,0 needs d=3 entries"):
+        maxwellian_perturbed(g3, eps=0.1, mode=(1, 0))
+    g = make_grid(d=2, n_modes=8, v_points=8, v_extent=6.0)
+    # 5 would alias to -3, and +4 is the Nyquist slot with no partner
+    for mode in ((5, 0), (0, -4), (4, 0)):
+        with pytest.raises(ValueError, match="n_modes/2 = 4"):
+            maxwellian_perturbed(g, eps=0.1, mode=mode)
+    assert maxwellian_perturbed(g, eps=0.1, mode=(3, -3)).data[3, 5, 0, 0] != 0
+    for overrides in (["d=3", "nodes=18"], ["mode=5,0"]):
+        assert run(["simulate", "--out-dir", str(tmp_path)] + overrides) == 1
+        assert "kflab: error: mode " in capsys.readouterr().err
+    assert not tmp_path.joinpath("iteration_report.json").exists()
+
+
+def test_x_support_rule_keeps_the_solve(monkeypatch):
+    # the shipped solver settings on a small grid, collided on the data's
+    # x-support and on the full padded grid
+    from kflab import collision, solver
+
+    g = make_grid(d=2, n_modes=4, v_points=8, v_extent=6.0)
+    f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
+    config = SolverConfig(grid=g, T=0.125, dt=0.0078125, quad=_QUAD, max_picard=12,
+                          tol=1e-10)
+    traj, report = duhamel_picard(f0, config)
+    assert report.collision_x_sizes == [6, 1]
+    assert report.halvings == 1
+    assert report.halvings_reasons == [
+        {"sweep": 3, "ratio": report.halvings_reasons[0]["ratio"], "threshold": 0.9,
+         "T": 0.125}
+    ]
+    assert report.halvings_reasons[0]["ratio"] > 0.9
+
+    def full(grid, fields, dealias):
+        return (collision._padded_count(grid.n_modes, dealias),) * grid.d
+
+    for module in (collision, solver):
+        monkeypatch.setattr(module, "_collision_x_sizes", full)
+    ref, ref_report = duhamel_picard(f0, config)
+    assert ref_report.collision_x_sizes == [6, 6]
+    assert np.max(np.abs(traj.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+    assert report.converged == ref_report.converged
+    assert report.halvings == ref_report.halvings
+    assert len(report.deltas_sup) == len(ref_report.deltas_sup)
