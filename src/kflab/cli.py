@@ -163,11 +163,13 @@ def _write_json(out_dir: str, name: str, payload: dict) -> str:
 
 
 def _run_simulate(st: Settings, seed: int, out_dir: str) -> int:
+    stride = int(st.get("snapshot_stride"))
+    if stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
     config, f0 = _solver_setup(st)
     traj, report = solver.duhamel_picard(f0, config)
-    stride = int(st.get("snapshot_stride"))
     os.makedirs(out_dir, exist_ok=True)
-    for j in range(0, traj.n_samples, max(1, stride)):
+    for j in range(0, traj.n_samples, stride):
         save_field(traj.slice_field(j), os.path.join(out_dir, f"snapshot_{j:05d}.kfl"))
     _write_json(out_dir, "iteration_report.json", report.to_dict())
     pos = solver.positivity_check(traj, solver.POSITIVITY_THRESHOLD, report.t_final)

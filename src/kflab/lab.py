@@ -14,8 +14,9 @@ import time
 import numpy as np
 
 from .collision import SphereQuadrature, gain_bobylev, loss_bobylev
-from .grid import GridSpec, PhaseField, make_grid, v_to_xi, x_synthesize
+from .grid import GridSpec, PhaseField, make_grid, random_field, v_to_xi, x_synthesize
 from .lp import (
+    bump_psi,
     modulation_mask,
     project_v_dyadic,
     project_x_block,
@@ -31,6 +32,7 @@ from .norms import (
     xsb_norm,
     _slice_l4_xi_4,
 )
+from .propagator import _free_flow
 from .reports import ExperimentReport
 from .trajectory import (
     Trajectory,
@@ -128,18 +130,14 @@ def _free_l4_norm(
     """L4 over (t, x, xi) of the free evolution of phi, streaming over
     time slices (exact quartic xi-integral per slice).  single=True
     runs the transforms in complex64 (scan speed; the gauge-identity
-    regression keeps double precision).
-
-    The phase separates over axes, exp(-i t n.v) = prod_a
-    exp(-i t n_a v_a), so each slice multiplies d (n_modes, v_points)
-    tables, formed from the exact products t n_a v_a, into a reused
-    copy of the data; no full-grid phase is built.
+    regression keeps double precision).  Each slice is
+    propagator._free_flow of the data into one reused buffer, so no
+    full-grid phase is built.
     """
     from scipy import fft as sfft
 
     g = phi.grid
     d = g.d
-    nv_1d = np.outer(g.modes_1d, g.v_1d)
     dt = 2.0 * t_half / (n_time - 1)
     tw = _trapz_weights(n_time, dt)
     dtype = np.complex64 if single else np.complex128
@@ -148,12 +146,7 @@ def _free_l4_norm(
     total = 0.0
     for j in range(n_time):
         t = -t_half + j * dt
-        table = np.exp(-1j * (t * nv_1d)).astype(dtype)
-        np.copyto(slice_data, base)
-        for a in range(d):
-            shape = [1] * (2 * d)
-            shape[a], shape[d + a] = g.n_modes, g.v_points
-            slice_data *= table.reshape(shape)
+        _free_flow(base, g, t, out=slice_data)
         # slice_data is refilled from base on every slice, so the
         # x-synthesis may overwrite it
         vals = sfft.ifftn(slice_data, axes=g.n_axes, norm="forward", overwrite_x=True)
@@ -437,8 +430,6 @@ def linear_xsb_checks(
         extra={"s": s, "r": r, "b": b, "t_half": t_half, "n_samples": n_samples},
     )
     rng_seq = _trial_seed(seed, 0)
-    from .grid import random_field
-
     phi = random_field(grid, rng_seq)
     free = apply_time_cutoff(sample_free_evolution(phi, t_half, n_samples), "psi")
     lhs = xsb_norm(free, params)
@@ -489,8 +480,6 @@ def psi_delta_scaling(b: float) -> ExperimentReport:
     )
     for d in _PSI_DELTAS:
         t = np.linspace(-t_half, t_half, n_samples)
-        from .lp import bump_psi
-
         prof = bump_psi(t / d)
         l2 = time_profile_hb(prof, t_half, 0.0)
         hb = psi_window_hb(t_half, n_samples, b, delta=d, homogeneous=True)

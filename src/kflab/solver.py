@@ -35,7 +35,7 @@ from .grid import (
 )
 from .lp import bump_psi
 from .norms import NormParams, default_params, sobolev_norm, xsb_norm
-from .propagator import _free_phase
+from .propagator import _free_flow
 from .reports import ExperimentReport
 from .trajectory import Trajectory, duhamel_integral, sample_free_evolution
 
@@ -109,6 +109,8 @@ class IterationReport:
     collision_x_sizes: list = field(default_factory=list)
     # one {sweep, ratio, threshold, T} record per halving, in order
     halvings_reasons: list = field(default_factory=list)
+    # wall seconds of each sweep, one per entry of deltas_sup
+    sweep_wall_s: list = field(default_factory=list)
 
     def ratios(self) -> list:
         eps = 10 * np.finfo(float).eps
@@ -129,6 +131,7 @@ class IterationReport:
             "message": self.message,
             "collision_x_sizes": self.collision_x_sizes,
             "halvings_reasons": self.halvings_reasons,
+            "sweep_wall_s": [float(x) for x in self.sweep_wall_s],
         }
 
 
@@ -171,6 +174,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
     cur = Trajectory(g, 2.0 * T, linear.copy(), cutoff="psi")
     halve = None
     for k in range(config.max_picard):
+        t_sweep = time.perf_counter()
         active = np.array(
             [psi_t[j] != 0.0 and bool(np.any(cur.data[j])) for j in range(n_samples)]
         )
@@ -184,6 +188,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
         diff = Trajectory(g, 2.0 * T, new.data - cur.data, cutoff="psi")
         report.deltas_sup.append(diff.sup_l2())
         report.deltas_x.append(xsb_norm(diff, config.params))
+        report.sweep_wall_s.append(time.perf_counter() - t_sweep)
         cur = new
         if report.deltas_sup[-1] <= config.tol:
             report.converged = True
@@ -233,9 +238,9 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
     data = np.zeros((len(times),) + g.shape, dtype=np.complex128)
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        fld = PhaseField(g, state * _free_phase(g, t))
+        fld = PhaseField(g, _free_flow(state, g, t))
         q = collide(fld, quad)
-        return q.data * _free_phase(g, -t)
+        return _free_flow(q.data, g, -t)
 
     center = half
     data[center] = f0.data
@@ -256,8 +261,7 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
                     f"step rejected at t={t:.4g}: state norm doubled within one step"
                 )
             data[j + direction] = state
-    data = data * _free_phase(g, times)
-    return Trajectory(g, T, data)
+    return Trajectory(g, T, _free_flow(data, g, times, out=data))
 
 
 def sup_l2_difference(a: Trajectory, b: Trajectory) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridSpec, PhaseField
-from .propagator import _free_phase
+from .propagator import _free_flow
 
 __all__ = [
     "Trajectory",
@@ -88,8 +88,7 @@ def make_trajectory(grid: GridSpec, t_half: float, n_samples: int) -> Trajectory
 def sample_free_evolution(phi: PhaseField, t_half: float, n_samples: int) -> Trajectory:
     """Trajectory of the free flow S(t) phi on the window."""
     traj = make_trajectory(phi.grid, t_half, n_samples)
-    for j, t in enumerate(traj.times):
-        traj.data[j] = phi.data * _free_phase(phi.grid, t)
+    _free_flow(phi.data, phi.grid, traj.times, out=traj.data)
     return traj
 
 
@@ -111,7 +110,7 @@ def time_dft(traj: Trajectory) -> tuple:
     g = traj.grid
     w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
-    u = w[ext] * _free_phase(g, -traj.times) * traj.data
+    u = w[ext] * _free_flow(traj.data, g, -traj.times)
     big = np.fft.fft(u, axis=0) / np.sqrt(traj.n_samples)
     tau = 2.0 * np.pi * np.fft.fftfreq(traj.n_samples, d=traj.dt)
     return tau, big
@@ -124,8 +123,8 @@ def time_idft(traj: Trajectory, coeffs: np.ndarray) -> Trajectory:
     u = np.fft.ifft(coeffs, axis=0) * np.sqrt(traj.n_samples)
     w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
-    data = _free_phase(g, traj.times) * u / w[ext]
-    return replace(traj, data=data)
+    u /= w[ext]
+    return replace(traj, data=_free_flow(u, g, traj.times, out=u))
 
 
 def duhamel_integral(forcing: Trajectory) -> Trajectory:
@@ -133,21 +132,20 @@ def duhamel_integral(forcing: Trajectory) -> Trajectory:
 
     Computed in the interaction frame: G(t) = S(-t) F(t), then a
     cumulative trapezoid from the central sample (t = 0 must be on the
-    grid, so the sample count must be odd), then S(t) out front.  No
-    time cutoff is applied here; callers multiply by psi as needed.
+    grid, so the sample count must be odd), then S(t) out front, both
+    flows by _free_flow and the trapezoid as a cumsum of the half-sums,
+    in one working array.  No time cutoff is applied here; callers
+    multiply by psi as needed.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     if forcing.n_samples % 2 == 0:
         raise ValueError("need an odd sample count (t = 0 on the grid)")
     g = forcing.grid
-    phase = _free_phase(g, -forcing.times)
-    inner = phase * forcing.data
-    cum = cumulative_trapezoid(inner, dx=forcing.dt, axis=0, initial=0.0)
-    center = forcing.n_samples // 2
-    cum = cum - cum[center]
-    data = np.conj(phase) * cum
-    return Trajectory(g, forcing.t_half, data)
+    cum = _free_flow(forcing.data, g, -forcing.times)
+    half = forcing.dt * (cum[1:] + cum[:-1]) / 2.0
+    cum[0] = 0.0
+    np.cumsum(half, axis=0, out=cum[1:])
+    cum -= cum[forcing.n_samples // 2].copy()
+    return Trajectory(g, forcing.t_half, _free_flow(cum, g, forcing.times, out=cum))
 
 
 def max_bracket(traj: Trajectory) -> float:

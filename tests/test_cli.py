@@ -39,6 +39,20 @@ def test_simulate_end_to_end(tmp_path):
     assert len(payload["halvings_reasons"]) == payload["halvings"]
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_simulate_rejects_stride_below_one(stride, tmp_path, monkeypatch, capsys):
+    # rejected before the solve starts, so nothing is solved or written
+    def no_solve(*args):
+        raise AssertionError("solved before checking snapshot_stride")
+
+    monkeypatch.setattr(solver, "duhamel_picard", no_solve)
+    out = tmp_path / "sim"
+    code = run(_simulate_args(out)[:-1] + [f"snapshot_stride={stride}"])
+    assert code == 1
+    assert f"snapshot_stride must be >= 1, got {stride}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exit_1(tmp_path, capsys):
     code = run(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1

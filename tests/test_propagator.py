@@ -10,6 +10,7 @@ from kflab import (
     random_field,
     v_to_xi,
 )
+from kflab.propagator import _free_flow, _nv_dot
 
 
 def _grid():
@@ -79,3 +80,33 @@ def test_interaction_frame_inverse():
     back = free_evolve(fld, -t)
     fwd = free_evolve(back, t)
     assert np.allclose(fwd.data, fld.data, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "d, n_modes, v_points", [(2, 8, 16), (2, 6, 8), (3, 4, 8), (3, 6, 4)]
+)
+@pytest.mark.parametrize("dtype, rel", [(np.complex128, 1e-14), (np.complex64, 1e-6)])
+def test_free_flow_matches_dense_phase(d, n_modes, v_points, dtype, rel):
+    # oracle: the dense phase exp(-i t n.v) over the whole (n, v) grid,
+    # for one time and for a window of times (one slice, or one per time)
+    g = make_grid(d=d, n_modes=n_modes, v_points=v_points, v_extent=4.0)
+    nv = _nv_dot(g)
+    rng = np.random.default_rng(d * 100 + n_modes)
+    times = np.linspace(-0.9, 0.9, 7)
+    ext = (...,) + (None,) * (2 * d)
+    one = random_field(g, seed=4).data.astype(dtype)
+    stack = (rng.standard_normal((7,) + g.shape)
+             + 1j * rng.standard_normal((7,) + g.shape)).astype(dtype)
+    cases = [(one, 0.37, one * np.exp(-1j * 0.37 * nv)),
+             (one, times, one * np.exp(-1j * times[ext] * nv)),
+             (stack, times, stack * np.exp(-1j * times[ext] * nv))]
+    for data, t, expected in cases:
+        before = data.copy()
+        got = _free_flow(data, g, t)
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert np.array_equal(data, before)
+        assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
+        if data.shape == expected.shape:
+            aliased = data.copy()
+            assert _free_flow(aliased, g, t, out=aliased) is aliased
+            assert np.array_equal(aliased, got)

@@ -221,6 +221,10 @@ def test_x_support_rule_keeps_the_solve(monkeypatch):
          "T": 0.125}
     ]
     assert report.halvings_reasons[0]["ratio"] > 0.9
+    # one positive wall time per sweep of the final window
+    assert len(report.sweep_wall_s) == len(report.deltas_sup) == 12
+    assert all(s > 0 for s in report.sweep_wall_s)
+    assert report.to_dict()["sweep_wall_s"] == report.sweep_wall_s
 
     def full(grid, fields, dealias):
         return (collision._padded_count(grid.n_modes, dealias),) * grid.d
