@@ -37,8 +37,7 @@ def main() -> None:
     print(f"gauge defect (exact symmetry): {max(gauge.column('defect')):.2e}")
 
     sweep = counting_sweep(
-        Ns=(4, 8, 16), Ms=(1, 2, 4), Ks=(1, 2), queries_per_cell=20, mc_samples=10_000,
-        seed=0, d=2,
+        Ns=(4, 8, 16), Ms=(1, 2, 4), Ks=(1, 2), queries_per_cell=20, seed=0
     )
     r = np.array(sweep.column("ratio"))
     print(f"counting: {len(r)} queries, max ratio {np.max(r):.3f}")

@@ -201,7 +201,8 @@ def _max_slope(report, x_col: str, group_col: str | None = None):
 
 
 def _slope_gate(st: Settings, slope) -> int:
-    return 0 if slope is None or slope <= float(st.get("slope_max")) else 2
+    slope_max = float(st.get("slope_max"))  # read even when there is no slope
+    return 0 if slope is None or slope <= slope_max else 2
 
 
 def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
@@ -320,9 +321,7 @@ def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
         Ms=Ms,
         Ks=Ks,
         queries_per_cell=int(st.get("queries_per_cell")),
-        mc_samples=int(st.get("mc_samples")),
         seed=seed,
-        d=int(st.get("d")),
     )
     report.write(out_dir)
     slope = _max_slope(report, "N")
@@ -331,6 +330,8 @@ def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
+    # read before solving, so an unconverged run still checks them
+    mass_tol, moment_tol = float(st.get("mass_tol")), float(st.get("moment_tol"))
     config, f0 = _solver_setup(st)
     traj, report = solver.duhamel_picard(f0, config)
     cons = solver.conservation_drift(traj, t_limit=report.t_final)
@@ -339,9 +340,9 @@ def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
     _write_json(out_dir, "conservation.json", payload)
     ok = (
         report.converged
-        and cons["mass_drift"] <= float(st.get("mass_tol"))
-        and cons["momentum_drift"] <= float(st.get("moment_tol"))
-        and cons["energy_drift"] <= float(st.get("moment_tol"))
+        and cons["mass_drift"] <= mass_tol
+        and cons["momentum_drift"] <= moment_tol
+        and cons["energy_drift"] <= moment_tol
     )
     return 0 if ok else 2
 

@@ -229,19 +229,28 @@ def _fill_pair_stack(
     return out
 
 
+def _gain_cache_path(grid: GridSpec, quad: SphereQuadrature) -> str:
+    """The path the next gain call takes for its stacks: "bypass" when
+    n_nodes node matrices would exceed the cap, else "hit" or "miss"."""
+    n_pts = grid.v_points**grid.d
+    if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
+        return "bypass"
+    return "hit" if (grid, _quad_key(quad)) in _MAT_CACHE else "miss"
+
+
 def _pair_stacks(
     grid: GridSpec, quad: SphereQuadrature, pairs: list, nyq: np.ndarray
 ):
     """The stacks of ``pairs`` in order: the cached list (built on a
-    miss), or, when n_nodes node matrices would exceed the cap, one
-    buffer refilled per pair."""
+    miss), or, on a bypass, one buffer refilled per pair."""
     n_pts = grid.v_points**grid.d
     shape = (2 * (n_pts + nyq.size), n_pts)
-    if quad.n_nodes * n_pts * n_pts * 16 > _MAT_CACHE_CAP_BYTES:
+    path = _gain_cache_path(grid, quad)
+    if path == "bypass":
         buf = np.empty(shape)
         return (_fill_pair_stack(grid, quad.nodes[j], nyq, buf) for j, _ in pairs)
     key = (grid, _quad_key(quad))
-    if key not in _MAT_CACHE:
+    if path == "miss":
         stacks = [_fill_pair_stack(grid, quad.nodes[j], nyq, np.empty(shape)) for j, _ in pairs]
         _MAT_CACHE.clear()
         _MAT_CACHE[key] = stacks

@@ -5,15 +5,15 @@ Measures the product (counting x Lebesgue) measure of
 n in [-N, N]^d and v in [-M, M]^d (box constant c = 1), and compares
 against the bound K * max{M^d, (MN)^(d-1) log(1+N)}.
 
-Monte Carlo over v with an exact inner lattice count per sample: for
-each sampled v the admissible n form a slab whose last-coordinate
-section is an interval, counted in closed form, so the only
-statistical error is the v-sampling (CLT error bars reported).
+The measure is exact in d=2: for each lattice n the admissible v form a
+box cut by two parallel lines, whose area is summed in closed form (Barrow
+& Smith, Quart. Appl. Math. 1979; Marichal & Mossinghoff, Online J. Anal.
+Comb. 2008).  d=1 has the separate interval oracle
+measure_level_set_exact_1d; the bound is stated for every d.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -55,71 +55,49 @@ class LevelSetQuery:
             raise ValueError("a and b must have d components")
 
 
-def _interval_count(lo: np.ndarray, hi: np.ndarray, bound: int) -> np.ndarray:
-    """Number of integers in [lo, hi] intersected with [-bound, bound]."""
-    low = np.maximum(np.ceil(lo), -bound)
-    high = np.minimum(np.floor(hi), bound)
-    return np.maximum(high - low + 1, 0.0)
+def measure_level_set(query: LevelSetQuery) -> float:
+    """Exact level-set measure in d=2, summed over the lattice n.
 
-
-def _count_lattice(query: LevelSetQuery, w: np.ndarray) -> np.ndarray:
-    """For each sample row w = v - a, the exact number of n in
-    [-N, N]^d with C0 <= w.(n - b) <= C0 + K."""
-    d, N = query.d, query.N
-    b = np.asarray(query.b, dtype=float)
-    lo_val = query.C0 + w @ b
-    hi_val = lo_val + query.K
-    if d == 1:
-        w1 = w[:, 0]
-        safe = np.where(w1 == 0.0, 1.0, w1)
-        lo = np.minimum(lo_val / safe, hi_val / safe)
-        hi = np.maximum(lo_val / safe, hi_val / safe)
-        counts = _interval_count(lo, hi, N)
-        # degenerate direction: the constraint is 0 in [C0, C0+K]
-        full = (lo_val <= 0.0) & (0.0 <= hi_val)
-        return np.where(w1 == 0.0, np.where(full, 2 * N + 1.0, 0.0), counts)
-    # enumerate the leading d-1 lattice coordinates, count the last one;
-    # one division per cell (the two bounds differ by the fixed K/w_d)
-    lead = np.array(
-        list(itertools.product(range(-N, N + 1), repeat=d - 1)), dtype=float
-    )
-    partial = (w[:, : d - 1] @ lead.T).astype(np.float32)
-    wd = w[:, d - 1 : d]
-    safe = np.where(wd == 0.0, 1.0, wd).astype(np.float32)
-    first = (np.float32(lo_val[:, None]) - partial) / safe
-    second = first + (np.float32(query.K) / safe)
-    lo = np.minimum(first, second)
-    hi = np.maximum(first, second)
-    counts = _interval_count(lo, hi, N)
-    degenerate = (partial >= np.float32(lo_val[:, None])) & (
-        partial <= np.float32(hi_val[:, None])
-    )
-    counts = np.where(wd == 0.0, np.where(degenerate, 2 * N + 1.0, 0.0), counts)
-    return counts.sum(axis=1, dtype=np.float64)
-
-
-def measure_level_set(query: LevelSetQuery, mc_samples: int, seed) -> tuple:
-    """Monte Carlo estimate and CLT standard error of the level-set
-    measure; v uniform over [-M, M]^d, inner lattice count exact."""
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be positive")
-    rng = np.random.default_rng(seed)
-    vol = (2.0 * query.M) ** query.d
-    a = np.asarray(query.a, dtype=float)
-    chunk = max(256, int(2**21 // max(1, (2 * query.N + 1) ** (query.d - 1))))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < mc_samples:
-        m = min(chunk, mc_samples - done)
-        v = rng.uniform(-query.M, query.M, size=(m, query.d))
-        vals = vol * _count_lattice(query, v - a)
-        total += vals.sum()
-        total_sq += (vals**2).sum()
-        done += m
-    mean = total / mc_samples
-    var = max(total_sq / mc_samples - mean**2, 0.0)
-    return mean, float(np.sqrt(var / mc_samples))
+    For each n, w = n - b, and the admissible v are the box [-M, M]^2 cut
+    by C0 <= (v - a).w <= C0 + K.  Divided by the larger component w_i
+    of w, the slab reads lo <= x + s y <= hi with x = v_i, y the other
+    coordinate and |s| <= 1; the section length in x is piecewise linear
+    in y, with kinks where a boundary line meets x = +-M, and the
+    midpoint rule between the sorted kinks is exact.  lo and hi are
+    C0/w_i and (C0 + K)/w_i, each one rounding, plus a.w/w_i, so a tiny
+    C0 or a w with subnormal components is not rounded away.  The w = 0
+    term is the whole box when C0 <= 0 <= C0 + K, and 0 otherwise.
+    """
+    if query.d != 2:
+        raise ValueError(f"measure_level_set supports d=2 only, got d={query.d}")
+    N, M, K, C0 = query.N, float(query.M), query.K, query.C0
+    n = np.arange(-N, N + 1, dtype=float)
+    w1, w2 = np.repeat(n, n.size) - query.b[0], np.tile(n, n.size) - query.b[1]
+    swap = np.abs(w2) > np.abs(w1)
+    major, minor = np.where(swap, w2, w1), np.where(swap, w1, w2)
+    a_major = np.where(swap, query.a[1], query.a[0])
+    a_minor = np.where(swap, query.a[0], query.a[1])
+    zero = major == 0.0
+    with np.errstate(all="ignore"):
+        s = np.where(zero, 0.0, minor / major)
+        # a negative major swaps the ends; a tiny one sends them to +-inf
+        ends = C0 / major, (C0 + K) / major
+        shift = a_major + s * a_minor
+        lo, hi = np.minimum(*ends) + shift, np.maximum(*ends) + shift
+        # y where a boundary line meets x = -M or +M; the two of one line
+        # lie 2M/|s| >= 2M apart, so at most one is inside
+        kinks = []
+        for c in (lo, hi):
+            y0, y1 = (c + M) / s, (c - M) / s
+            kink = np.where(np.abs(y0) < M, y0, np.clip(y1, -M, M))
+            kinks.append(np.where(s == 0.0, -M, kink))
+        ys = np.stack([np.full_like(lo, -M), np.minimum(*kinks), np.maximum(*kinks),
+                       np.full_like(lo, M)])
+        mid = 0.5 * (ys[1:] + ys[:-1])
+        length = np.minimum(hi - s * mid, M) - np.maximum(lo - s * mid, -M)
+        area = np.maximum(length, 0.0) * np.diff(ys, axis=0)
+    whole = (2.0 * M) ** 2 if C0 <= 0.0 <= C0 + K else 0.0
+    return float(np.where(zero, 0.0, area).sum() + whole * zero.sum())
 
 
 def measure_level_set_exact_1d(
@@ -159,18 +137,18 @@ def bound_rhs(query: LevelSetQuery) -> float:
 
 
 def counting_sweep(
-    Ns, Ms, Ks, queries_per_cell: int, mc_samples: int, seed: int, d: int
+    Ns, Ms, Ks, queries_per_cell: int, seed: int
 ) -> ExperimentReport:
-    """Standard boundedness sweep: random (a, b, C0) per cell, ratio =
-    estimate / bound; C0 is drawn uniform on [0, MN] (documented
-    choice) so slabs meet the box often."""
+    """Standard d=2 boundedness sweep: random (a, b, C0) per cell, ratio =
+    measure / bound; C0 is drawn uniform on [0, MN] (documented choice)
+    so slabs meet the box often."""
     t0 = time.time()
     report = ExperimentReport(
         experiment="counting-check",
-        columns=["d", "N", "M", "K", "query", "estimate", "stderr", "bound", "ratio"],
+        columns=["d", "N", "M", "K", "query", "estimate", "bound", "ratio"],
         seed=seed,
-        grid_desc=f"d={d} lattice/velocity boxes, c=1",
-        extra={"mc_samples": mc_samples, "C0_model": "uniform[0, M*N]"},
+        grid_desc="d=2 lattice/velocity boxes, c=1",
+        extra={"C0_model": "uniform[0, M*N]"},
     )
     root = np.random.SeedSequence(seed)
     for N in Ns:
@@ -181,15 +159,13 @@ def counting_sweep(
                 )
                 rng = np.random.default_rng(cell_seed)
                 for q in range(queries_per_cell):
-                    a = tuple(rng.uniform(-M, M, size=d))
-                    b = tuple(rng.uniform(-N, N, size=d))
+                    a = tuple(rng.uniform(-M, M, size=2))
+                    b = tuple(rng.uniform(-N, N, size=2))
                     c0 = float(rng.uniform(0.0, M * N))
-                    query = LevelSetQuery(d=d, N=N, M=M, K=K, a=a, b=b, C0=c0)
-                    est, err = measure_level_set(
-                        query, mc_samples=mc_samples, seed=rng.integers(2**63)
-                    )
+                    query = LevelSetQuery(d=2, N=N, M=M, K=K, a=a, b=b, C0=c0)
+                    est = measure_level_set(query)
                     bound = bound_rhs(query)
-                    report.add_row(d, N, M, K, q, est, err, bound, est / bound)
+                    report.add_row(2, N, M, K, q, est, bound, est / bound)
     report.validate_finite("ratio")
     report.wall_clock = time.time() - t0
     return report

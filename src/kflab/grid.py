@@ -297,13 +297,17 @@ def xi_phase_matrix(grid: GridSpec, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reflect_n(grid: GridSpec, data: np.ndarray) -> np.ndarray:
+    """data at -n: the mode reflection n -> -n on every n-axis."""
+    idx = (-np.arange(grid.n_modes)) % grid.n_modes
+    for ax in grid.n_axes:
+        data = np.take(data, idx, axis=ax)
+    return data
+
+
 def conjugate_symmetry_defect(fld: PhaseField) -> float:
     """Max deviation from fhat(-n, v) == conj(fhat(n, v)) (reality of f)."""
-    g = fld.grid
-    flipped = fld.data
-    for ax in g.n_axes:
-        idx = (-np.arange(g.n_modes)) % g.n_modes
-        flipped = np.take(flipped, idx, axis=ax)
+    flipped = _reflect_n(fld.grid, fld.data)
     return float(np.max(np.abs(flipped - np.conj(fld.data))))
 
 
@@ -337,11 +341,7 @@ def random_field(grid: GridSpec, seed, real: bool = False) -> PhaseField:
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     if real:
-        flipped = data
-        for ax in grid.n_axes:
-            idx = (-np.arange(grid.n_modes)) % grid.n_modes
-            flipped = np.take(flipped, idx, axis=ax)
-        data = 0.5 * (data + np.conj(flipped))
+        data = 0.5 * (data + np.conj(_reflect_n(grid, data)))
     fld = PhaseField(grid, data)
     nrm = fld.l2_norm()
     if nrm > 0:

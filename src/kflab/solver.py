@@ -22,6 +22,7 @@ import numpy as np
 from .collision import (
     SphereQuadrature,
     _collision_x_sizes,
+    _gain_cache_path,
     collide,
     collide_trajectory,
     moments,
@@ -111,6 +112,8 @@ class IterationReport:
     halvings_reasons: list = field(default_factory=list)
     # wall seconds of each sweep, one per entry of deltas_sup
     sweep_wall_s: list = field(default_factory=list)
+    # the gain's stack-cache path of each sweep: "hit", "miss" or "bypass"
+    gain_cache: list = field(default_factory=list)
 
     def ratios(self) -> list:
         eps = 10 * np.finfo(float).eps
@@ -132,6 +135,7 @@ class IterationReport:
             "collision_x_sizes": self.collision_x_sizes,
             "halvings_reasons": self.halvings_reasons,
             "sweep_wall_s": [float(x) for x in self.sweep_wall_s],
+            "gain_cache": self.gain_cache,
         }
 
 
@@ -181,6 +185,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
         report.collision_x_sizes = list(
             _collision_x_sizes(g, (cur.data[j] for j in np.flatnonzero(active)), True)
         )
+        report.gain_cache.append(_gain_cache_path(g, config.quad))
         q_all = collide_trajectory(cur.data, g, config.quad, active=active)
         forcing = Trajectory(g, 2.0 * T, psi_t[ext] * q_all)
         dh = duhamel_integral(forcing)

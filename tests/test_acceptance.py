@@ -34,7 +34,6 @@ from kflab import (
     make_grid,
     maxwellian_perturbed,
     measure_level_set,
-    measure_level_set_exact_1d,
     moments,
     perturbation_experiment,
     positivity_check,
@@ -50,6 +49,7 @@ from kflab import (
     x_synthesize,
     xi_to_v,
 )
+from test_counting import rational_measure
 
 
 def _verdict(name: str, ok: bool, detail: str, t0: float) -> None:
@@ -159,9 +159,7 @@ def test_criterion_3_counting():
         Ms=(1, 2, 4, 8, 16),
         Ks=(1, 2, 4),
         queries_per_cell=100,
-        mc_samples=10_000,
         seed=0,
-        d=2,
     )
     ratios = np.array(report.column("ratio"))
     Ns_col = np.array(report.column("N"))
@@ -171,16 +169,16 @@ def test_criterion_3_counting():
     slope = loglog_slope(Ns, max_per_N)
     ok_slope = slope <= 0.1
 
-    # 1D oracle vs Monte Carlo, 3 sigma
-    q = LevelSetQuery(d=1, N=8, M=4.0, K=2, a=(0.3,), b=(0.2,), C0=1.5)
-    mc, stderr = measure_level_set(q, mc_samples=200_000, seed=5)
-    exact, _ = measure_level_set_exact_1d(q.N, q.b[0], q.C0, q.K, M=q.M, a1=q.a[0])
-    ok_mc = abs(mc - exact) <= 3.0 * stderr
-    ok = ok_finite and ok_slope and ok_mc
+    # the exact measure against the exact rational oracle
+    q = LevelSetQuery(d=2, N=8, M=4.0, K=2, a=(0.3, -1.1), b=(0.2, 2.7), C0=1.5)
+    exact = float(rational_measure(q))
+    rel = abs(measure_level_set(q) - exact) / exact
+    ok_oracle = rel <= 1e-12
+    ok = ok_finite and ok_slope and ok_oracle
     _verdict(
         "criterion 3 (counting sweep)",
         ok,
-        f"slope {slope:.3f}, mc |{mc:.4f}-{exact:.4f}| <= 3*{stderr:.4f}",
+        f"slope {slope:.3f}, oracle {exact:.4f} to {rel:.1e} relative",
         t0,
     )
     assert ok
@@ -367,9 +365,7 @@ def test_criterion_8_solver():
 
 def test_criterion_9_determinism():
     t0 = time.time()
-    sweep = dict(
-        Ns=(4, 8), Ms=(1, 2), Ks=(1, 2), queries_per_cell=5, mc_samples=10_000, seed=3, d=2
-    )
+    sweep = dict(Ns=(4, 8), Ms=(1, 2), Ks=(1, 2), queries_per_cell=5, seed=3)
     a = counting_sweep(**sweep)
     b = counting_sweep(**sweep)
     grid = make_grid(d=2, n_modes=8, v_extent=4.0, v_points=8)

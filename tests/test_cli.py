@@ -1,6 +1,8 @@
 """Command-line interface: end-to-end runs, exit codes, output routing."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 
@@ -120,9 +122,17 @@ def test_unknown_keys_exit_1(tmp_path, capsys):
     argv = ["linear-check", "--config", str(cfg), "--out-dir", str(out)]
     assert run(argv + _TINY_RUNS["linear-check"][:2]) == 0
     # a counting cell is named only by the sweep keys
-    code = run(["counting-check", "--out-dir", str(out), "N=8", "mc_samples=10"])
+    code = run(["counting-check", "--out-dir", str(out), "N=8"])
     assert code == 1
     assert "counting-check: N" in capsys.readouterr().err
+
+
+def test_counting_dimension_is_not_a_key(tmp_path, capsys):
+    # the sweep measures d=2 only, so d is no counting-check key
+    out = tmp_path / "counting"
+    assert run(["counting-check", "--out-dir", str(out), "d=3"] + _ONE_CELL) == 1
+    assert "unknown key(s) for counting-check: d" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_drivers_take_required_settings():
@@ -171,30 +181,60 @@ _TINY_RUNS = {
     "gain-check": ["n_modes=4", "v_points=8", "Ts=0.125", "trials=1", "nodes=4"],
     "holder-check": ["n_modes=4", "v_points=8", "trials=1", "nodes=4"],
     "linear-check": ["n_modes=2", "v_points=8", "n_samples=33"],
-    "counting-check": ["Ns=2,4", "Ms=1", "Ks=1", "queries_per_cell=1",
-                       "mc_samples=100"],
+    "counting-check": ["Ns=2,4", "Ms=1", "Ks=1", "queries_per_cell=1"],
     "conservation-check": _SOLVER_TINY,
     "perturbation-check": _SOLVER_TINY + ["deltas=1e-2,1e-3"],
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(_TINY_RUNS))
-def test_every_key_read_is_accepted(experiment, tmp_path, monkeypatch, capsys):
-    # record the keys a small run reads, then set each of them
-    read = set()
+@pytest.fixture(scope="module", params=sorted(_TINY_RUNS))
+def keys_read(request, tmp_path_factory):
+    """(experiment, the keys its small run reads), one run per experiment
+    shared by the tests below."""
+    experiment, read = request.param, set()
     get = Settings.get
 
     def spy(self, key):
         read.add(key)
         return get(self, key)
 
-    monkeypatch.setattr(Settings, "get", spy)
-    code = run([experiment, "--out-dir", str(tmp_path)] + _TINY_RUNS[experiment])
-    assert code != 1, capsys.readouterr().err
+    out = tmp_path_factory.mktemp(experiment)
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()) as err:
+        mp.setattr(Settings, "get", spy)
+        code = run([experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment])
+    assert code != 1, err.getvalue()
+    return experiment, read
+
+
+def test_every_key_read_is_accepted(keys_read):
+    # record the keys a small run reads, then set each of them
+    experiment, read = keys_read
     if experiment in ("simulate", "conservation-check", "perturbation-check"):
         assert {"max_picard", "tol"} <= read
     # raises ValueError if any key read is not accepted
     Settings(_load_config(None), experiment, {k: "0" for k in read})
+
+
+def test_every_shipped_key_is_read(keys_read):
+    # a key that a run never reads is a dead knob: a malformed value of it
+    # would pass silently.  --out-dir replaces out_dir.
+    experiment, read = keys_read
+    shipped = _load_config(None)[0]
+    listed = {
+        key for name in ("common", *_RUNNERS[experiment][0], experiment)
+        for key in shipped[name]
+    }
+    assert read == listed - {"out_dir"}
+
+
+def test_unconverged_conservation_reads_its_tolerances(tmp_path, capsys):
+    # one sweep does not converge; a malformed tolerance is still an error
+    for key in ("mass_tol", "moment_tol"):
+        out = tmp_path / key
+        argv = _TINY_RUNS["conservation-check"] + ["max_picard=1", f"{key}=abc"]
+        assert run(["conservation-check", "--out-dir", str(out)] + argv) == 1
+        assert "abc" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_shipped_sections_match_the_table():

@@ -237,3 +237,21 @@ def test_x_support_rule_keeps_the_solve(monkeypatch):
     assert report.converged == ref_report.converged
     assert report.halvings == ref_report.halvings
     assert len(report.deltas_sup) == len(ref_report.deltas_sup)
+
+
+def test_report_records_the_gain_cache_path(monkeypatch):
+    # shipped settings on a small grid: the first sweep builds the pair
+    # stacks, the second reuses them; above the cap, every sweep rebuilds
+    from kflab import collision
+
+    g = make_grid(d=2, n_modes=4, v_points=8, v_extent=6.0)
+    f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
+    config = SolverConfig(grid=g, T=0.125, dt=0.0078125, quad=_QUAD, max_picard=2,
+                          tol=1e-10)
+    collision._MAT_CACHE.clear()
+    _, report = duhamel_picard(f0, config)
+    assert report.gain_cache == ["miss", "hit"]
+    assert report.to_dict()["gain_cache"] == ["miss", "hit"]
+    monkeypatch.setattr(collision, "_MAT_CACHE_CAP_BYTES", 0)
+    _, report = duhamel_picard(f0, config)
+    assert report.gain_cache == ["bypass", "bypass"]
