@@ -16,9 +16,11 @@ from .grid import (
     GridSpec,
     PhaseField,
     conjugate_symmetry_defect,
+    embed_modes,
     load_field,
     make_grid,
     random_field,
+    restrict_modes,
     save_field,
     v_to_xi,
     x_analyze,

@@ -153,7 +153,7 @@ def _collision_x_sizes(grid: GridSpec, fields, dealias: bool) -> tuple:
     of x_a-invariant data is x_a-invariant and one x-node carries it.
     The test is exact: a nonzero coefficient of any size keeps its axis."""
     m = _padded_count(grid.n_modes, dealias)
-    support = np.zeros((grid.n_modes,) * grid.d, dtype=bool)
+    support = np.zeros(grid.mode_counts, dtype=bool)
     for data in fields:
         support |= np.any(data, axis=grid.v_axes)
     return tuple(

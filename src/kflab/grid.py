@@ -4,13 +4,19 @@ The state of one time slice is kept in the mixed representation
 ``fhat(n, v)``: Fourier coefficients in position, physical velocity.
 All transforms here are exact discrete maps (round-trips hold to
 rounding); see :mod:`kflab.conventions` for the normalization sheet.
+
+A grid stores n_modes x-modes on every axis, or fewer on some: an axis
+with mode count 1 holds the n_a = 0 slab alone, which is all that data
+exactly invariant along x_a carry.  ``restrict_modes`` moves a field or
+trajectory onto such a grid (a nonzero dropped mode is a ValueError) and
+``embed_modes`` moves it back, with zeros in the modes it left out.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +29,8 @@ __all__ = [
     "v_to_xi",
     "xi_to_v",
     "xi_phase_matrix",
+    "restrict_modes",
+    "embed_modes",
     "conjugate_symmetry_defect",
     "save_field",
     "load_field",
@@ -40,9 +48,10 @@ def _fft_modes(n: int) -> np.ndarray:
     return k
 
 
-def _tensor_points(axis_1d: np.ndarray, d: int) -> np.ndarray:
-    """All d-tuples of the 1D nodes, shape (len(axis_1d)^d, d), flat C order."""
-    grids = np.meshgrid(*([axis_1d] * d), indexing="ij")
+def _tensor_points(axes_1d) -> np.ndarray:
+    """All tuples of the per-axis 1D nodes, shape (prod lengths, d), flat
+    C order."""
+    grids = np.meshgrid(*axes_1d, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
@@ -52,15 +61,19 @@ class GridSpec:
 
     Attributes:
         d: spatial dimension (2 or 3)
-        n_modes: x-Fourier modes per dimension (even)
+        n_modes: x-Fourier modes of a full axis (even)
         v_extent: velocity half-width V; the grid covers [-V, V)
         v_points: velocity points per dimension (even)
+        mode_counts: x-modes stored per axis, each n_modes or 1; None
+            (the default) is n_modes on every axis.  A count of 1 keeps
+            the n_a = 0 slab alone.  A full grid's repr does not show it.
     """
 
     d: int
     n_modes: int
     v_extent: float
     v_points: int
+    mode_counts: tuple | None = None
     modes_1d: np.ndarray = field(init=False, repr=False, compare=False)
     x_1d: np.ndarray = field(init=False, repr=False, compare=False)
     v_1d: np.ndarray = field(init=False, repr=False, compare=False)
@@ -76,10 +89,35 @@ class GridSpec:
         if self.v_extent <= 0:
             raise ValueError(f"v_extent must be positive, got {self.v_extent}")
         n, p = self.n_modes, self.v_points
+        counts = (n,) * self.d if self.mode_counts is None else tuple(
+            int(c) for c in self.mode_counts
+        )
+        if len(counts) != self.d or any(c not in (1, n) for c in counts):
+            raise ValueError(
+                f"mode_counts {counts} need d={self.d} entries, each {n} or 1"
+            )
+        object.__setattr__(self, "mode_counts", counts)
         object.__setattr__(self, "modes_1d", _fft_modes(n))
         object.__setattr__(self, "x_1d", 2.0 * np.pi * np.arange(n) / n)
         object.__setattr__(self, "v_1d", -self.v_extent + self.dv * np.arange(p))
         object.__setattr__(self, "xi_1d", self.dxi * _fft_modes(p).astype(float))
+
+    def __repr__(self) -> str:
+        counts = "" if self.is_full else f", mode_counts={self.mode_counts!r}"
+        return (
+            f"GridSpec(d={self.d!r}, n_modes={self.n_modes!r}, "
+            f"v_extent={self.v_extent!r}, v_points={self.v_points!r}{counts})"
+        )
+
+    @property
+    def is_full(self) -> bool:
+        return self.mode_counts == (self.n_modes,) * self.d
+
+    @property
+    def axis_modes(self) -> tuple:
+        """Per-axis mode labels in FFT storage order: modes_1d on a full
+        axis, [0] on an axis of count 1."""
+        return tuple(self.modes_1d[:c] for c in self.mode_counts)
 
     @property
     def dv(self) -> float:
@@ -91,11 +129,12 @@ class GridSpec:
 
     @property
     def dx(self) -> float:
+        """Node spacing of a full x-axis."""
         return 2.0 * np.pi / self.n_modes
 
     @property
     def shape(self) -> tuple:
-        return (self.n_modes,) * self.d + (self.v_points,) * self.d
+        return self.mode_counts + (self.v_points,) * self.d
 
     @property
     def n_axes(self) -> tuple:
@@ -106,16 +145,16 @@ class GridSpec:
         return tuple(range(self.d, 2 * self.d))
 
     def mode_vectors(self) -> np.ndarray:
-        """All mode tuples, shape (n_modes^d, d), flat C order."""
-        return _tensor_points(self.modes_1d, self.d)
+        """All stored mode tuples, shape (prod mode_counts, d), flat C order."""
+        return _tensor_points(self.axis_modes)
 
     def v_vectors(self) -> np.ndarray:
         """All velocity nodes, shape (v_points^d, d), flat C order."""
-        return _tensor_points(self.v_1d, self.d)
+        return _tensor_points([self.v_1d] * self.d)
 
     def xi_vectors(self) -> np.ndarray:
         """All xi nodes (FFT order per axis), shape (v_points^d, d)."""
-        return _tensor_points(self.xi_1d, self.d)
+        return _tensor_points([self.xi_1d] * self.d)
 
 
 @dataclass
@@ -171,48 +210,76 @@ def make_grid(d: int, n_modes: int, v_extent: float, v_points: int) -> GridSpec:
 
 
 def _x_sizes(grid: GridSpec, m) -> tuple:
-    """Per-axis x-grid sizes from ``m``: None (n_modes on every axis), an
-    int, or a sequence of d sizes, each 1 or at least n_modes."""
-    m = grid.n_modes if m is None else m
+    """Per-axis x-grid sizes from ``m``: None (the grid's mode counts), an
+    int, or a sequence of d sizes, each 1 or at least the axis's mode
+    count."""
+    m = grid.mode_counts if m is None else m
     sizes = (int(m),) * grid.d if np.ndim(m) == 0 else tuple(int(s) for s in m)
-    if len(sizes) != grid.d or any(s != 1 and s < grid.n_modes for s in sizes):
+    if len(sizes) != grid.d or any(
+        s != 1 and s < c for s, c in zip(sizes, grid.mode_counts)
+    ):
         raise ValueError(
-            f"x-grid sizes {sizes} need d={grid.d} entries, each 1 or >= {grid.n_modes}"
+            f"x-grid sizes {sizes} need d={grid.d} entries, each 1 or >= "
+            f"the mode counts {grid.mode_counts}"
         )
     return sizes
 
 
 def _embed_indices(grid: GridSpec, m) -> tuple:
     """(kept, slots) for the x-grid of sizes ``m``: per axis, the stored
-    mode indices that live on it and their FFT-order index there.  A full
-    axis keeps every mode, the Nyquist slot (labelled +n_modes/2) going
-    to +n_modes/2; a size-1 axis keeps the n_a = 0 slot alone."""
+    mode indices that live on it and their FFT-order index there.  An
+    axis of size > 1 keeps every stored mode, the Nyquist slot (labelled
+    +n_modes/2) going to +n_modes/2; a size-1 axis keeps the n_a = 0 slot
+    alone."""
     sizes = _x_sizes(grid, m)
-    kept = [np.arange(grid.n_modes if size > 1 else 1) for size in sizes]
+    kept = [np.arange(c if size > 1 else 1) for c, size in zip(grid.mode_counts, sizes)]
     return kept, [grid.modes_1d[k] % size for k, size in zip(kept, sizes)]
+
+
+def _onto_x_grid(grid: GridSpec, data: np.ndarray, sizes: tuple) -> np.ndarray:
+    """The coefficients ``data`` (trailing axes grid.shape, any leading
+    axes) at their slots on the x-grid of ``sizes``, zeros elsewhere.
+    Dropping a nonzero coefficient is a ValueError; only the dropped
+    modes are scanned."""
+    if sizes == grid.mode_counts:
+        return data
+    kept, slots = _embed_indices(grid, sizes)
+    lead = data.ndim - 2 * grid.d
+    for a, (k, c) in enumerate(zip(kept, grid.mode_counts)):
+        if k.size < c and data[(slice(None),) * (lead + a) + (slice(k.size, None),)].any():
+            raise ValueError(f"x-grid sizes {sizes} would drop nonzero modes")
+    idx = (slice(None),) * lead
+    big = np.zeros(data.shape[:lead] + sizes + (grid.v_points,) * grid.d, dtype=np.complex128)
+    big[idx + np.ix_(*slots)] = data[idx + np.ix_(*kept)]
+    return big
+
+
+def _from_x_grid(grid: GridSpec, coeffs: np.ndarray, sizes: tuple) -> np.ndarray:
+    """Inverse of _onto_x_grid: the stored modes of x-grid coefficients
+    ``coeffs`` (any leading axes), every other coefficient truncated."""
+    if sizes == grid.mode_counts:
+        return coeffs
+    kept, slots = _embed_indices(grid, sizes)
+    lead = coeffs.ndim - 2 * grid.d
+    idx = (slice(None),) * lead
+    out = np.zeros(coeffs.shape[:lead] + grid.shape, dtype=np.complex128)
+    out[idx + np.ix_(*kept)] = coeffs[idx + np.ix_(*slots)]
+    return out
 
 
 def x_synthesize(fld: PhaseField, m=None) -> np.ndarray:
     """Values f(x, v) on the x-grid of sizes ``m`` (an int for every axis,
-    or one size per axis; n_modes by default), shape sizes + (P,)*d: the
-    stored modes are embedded at their labels with zeros elsewhere (a
-    size above n_modes zero-pads for dealiased products), then inverse
-    x-DFT per fixed v.
+    or one size per axis; the mode counts by default), shape sizes +
+    (P,)*d: the stored modes are embedded at their labels with zeros
+    elsewhere (a size above the mode count zero-pads for dealiased
+    products), then inverse x-DFT per fixed v.
 
     A size of 1 on axis a takes the n_a = 0 slab alone, so the values are
     constant along x_a; a nonzero coefficient with n_a != 0 is then a
     ValueError, since it would be dropped."""
     g = fld.grid
     sizes = _x_sizes(g, m)
-    if sizes == (g.n_modes,) * g.d:
-        big = fld.data
-    else:
-        kept, slots = _embed_indices(g, sizes)
-        sub = fld.data[np.ix_(*kept)]
-        if np.count_nonzero(sub) != np.count_nonzero(fld.data):
-            raise ValueError(f"x-grid sizes {sizes} would drop nonzero modes")
-        big = np.zeros(sizes + (g.v_points,) * g.d, dtype=np.complex128)
-        big[np.ix_(*slots)] = sub
+    big = _onto_x_grid(g, fld.data, sizes)
     return np.fft.ifftn(big, axes=g.n_axes) * math.prod(sizes)
 
 
@@ -225,12 +292,24 @@ def x_analyze(grid: GridSpec, values: np.ndarray, m=None) -> PhaseField:
     if values.shape != sizes + (grid.v_points,) * grid.d:
         raise ValueError(f"values shape {values.shape} does not match grid")
     coeffs = np.fft.fftn(values, axes=grid.n_axes) / math.prod(sizes)
-    if sizes != (grid.n_modes,) * grid.d:
-        kept, slots = _embed_indices(grid, sizes)
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        out[np.ix_(*kept)] = coeffs[np.ix_(*slots)]
-        coeffs = out
-    return PhaseField(grid, coeffs)
+    return PhaseField(grid, _from_x_grid(grid, coeffs, sizes))
+
+
+def restrict_modes(obj, mode_counts):
+    """``obj`` (a PhaseField or Trajectory) on its grid with the given
+    per-axis mode counts, each n_modes or 1.  An axis of count 1 keeps
+    the n_a = 0 slab alone; a nonzero coefficient there with n_a != 0 is
+    a ValueError, so restriction never loses data."""
+    sub = replace(obj.grid, mode_counts=mode_counts)
+    return replace(obj, grid=sub, data=_onto_x_grid(obj.grid, obj.data, sub.mode_counts))
+
+
+def embed_modes(obj):
+    """``obj`` (a PhaseField or Trajectory) on the full grid, every mode
+    that its grid leaves out an exact zero: the inverse of
+    restrict_modes."""
+    full = replace(obj.grid, mode_counts=None)
+    return replace(obj, grid=full, data=_from_x_grid(full, obj.data, obj.grid.mode_counts))
 
 
 def _v_to_xi_axis_phases(grid: GridSpec) -> np.ndarray:
@@ -299,9 +378,8 @@ def xi_phase_matrix(grid: GridSpec, points: np.ndarray) -> np.ndarray:
 
 def _reflect_n(grid: GridSpec, data: np.ndarray) -> np.ndarray:
     """data at -n: the mode reflection n -> -n on every n-axis."""
-    idx = (-np.arange(grid.n_modes)) % grid.n_modes
-    for ax in grid.n_axes:
-        data = np.take(data, idx, axis=ax)
+    for ax, c in zip(grid.n_axes, grid.mode_counts):
+        data = np.take(data, (-np.arange(c)) % c, axis=ax)
     return data
 
 
@@ -313,8 +391,12 @@ def conjugate_symmetry_defect(fld: PhaseField) -> float:
 
 def save_field(fld: PhaseField, path) -> None:
     """Binary snapshot: magic 'KFL1', <u4 d, <u4 n_modes, <u4 v_points,
-    <f8 V, then complex128 (interleaved re/im) row-major, n-axes first."""
+    <f8 V, then complex128 (interleaved re/im) row-major, n-axes first.
+    The header has one mode count, so a grid whose per-axis counts differ
+    is a ValueError (embed_modes first)."""
     g = fld.grid
+    if not g.is_full:
+        raise ValueError(f"a snapshot needs n_modes on every axis, not {g.mode_counts}")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<III", g.d, g.n_modes, g.v_points))

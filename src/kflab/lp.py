@@ -56,7 +56,7 @@ def _in_cube(modes: np.ndarray, center, half: float) -> np.ndarray:
 
 
 def _shell_mask(grid: GridSpec, N: int) -> np.ndarray:
-    modes = grid.mode_vectors().reshape((grid.n_modes,) * grid.d + (grid.d,))
+    modes = grid.mode_vectors().reshape(grid.mode_counts + (grid.d,))
     outer = _in_cube(modes, 0, N)
     if N == 1:
         # the excluded set is taken empty at integer points, so the
@@ -88,7 +88,7 @@ def project_x_block(fld: PhaseField, a, N: int) -> PhaseField:
     """Sharp indicator of the shifted cube a + (-N, N]^d on the n-index."""
     _check_dyadic(N)
     g = fld.grid
-    modes = g.mode_vectors().reshape((g.n_modes,) * g.d + (g.d,))
+    modes = g.mode_vectors().reshape(g.mode_counts + (g.d,))
     a = np.asarray(a, dtype=np.int64)
     if a.shape != (g.d,):
         raise ValueError(f"block center must have {g.d} integer components")

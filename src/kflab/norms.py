@@ -56,7 +56,7 @@ def bracket(z: np.ndarray) -> np.ndarray:
 def _sobolev_weight(grid, s: float, r: float) -> np.ndarray:
     n_abs = np.linalg.norm(
         grid.mode_vectors().astype(float), axis=1
-    ).reshape((grid.n_modes,) * grid.d)
+    ).reshape(grid.mode_counts)
     v_abs = np.linalg.norm(grid.v_vectors(), axis=1).reshape(
         (grid.v_points,) * grid.d
     )

@@ -6,7 +6,10 @@ discretization error beyond rounding.  :func:`_free_flow` is the one
 place the flow is applied: exp(-i t n.v) = prod_a exp(-i t n_a v_a), so
 it multiplies an (n_modes, v_points) table exp(-i t n_a v_a), formed from
 the exact products, into the data along each axis in turn, and no
-full-grid phase is ever built.
+full-grid phase is ever built.  The tables read the grid's per-axis mode
+counts: an axis of count 1 stores n_a = 0 alone, whose table is all
+ones, so the flow skips it and x_a-invariant data pay for the axes they
+vary along only.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ __all__ = ["free_evolve"]
 def _nv_dot(grid: GridSpec) -> np.ndarray:
     """Dense n.v over the full (n, v) grid: the tests' reference phase."""
     out = np.zeros(grid.shape)
-    for i in range(grid.d):
+    for i, modes in enumerate(grid.axis_modes):
         n_shape = [1] * (2 * grid.d)
-        n_shape[i] = grid.n_modes
+        n_shape[i] = modes.size
         v_shape = [1] * (2 * grid.d)
         v_shape[grid.d + i] = grid.v_points
-        out = out + grid.modes_1d.reshape(n_shape) * grid.v_1d.reshape(v_shape)
+        out = out + modes.reshape(n_shape) * grid.v_1d.reshape(v_shape)
     return out
 
 
@@ -40,13 +43,18 @@ def _free_flow(data: np.ndarray, grid: GridSpec, t, out=None) -> np.ndarray:
     is one slice or one slice per time.  exp(+i t n.v) is t -> -t."""
     t = np.asarray(t, dtype=float)
     d = grid.d
-    # every axis has the same (n_a, v_a) nodes, so one table serves all d
+    # an axis of count 1 holds n_a = 0 alone, whose table is all ones; the
+    # others hold the same (n_modes, v_points) nodes, so one table serves
+    flowing = [a for a, c in enumerate(grid.mode_counts) if c > 1]
+    if not flowing:
+        ones = np.ones(t.shape + (1,) * (2 * d), dtype=data.dtype)
+        return np.multiply(data, ones, out=out)
     nv_1d = np.outer(grid.modes_1d, grid.v_1d)
     table = np.exp(-1j * (t[..., None, None] * nv_1d)).astype(data.dtype)
-    for a in range(d):
+    for i, a in enumerate(flowing):
         shape = list(t.shape) + [1] * (2 * d)
         shape[t.ndim + a], shape[t.ndim + d + a] = grid.n_modes, grid.v_points
-        out = np.multiply(data if a == 0 else out, table.reshape(shape), out=out)
+        out = np.multiply(data if i == 0 else out, table.reshape(shape), out=out)
     return out
 
 

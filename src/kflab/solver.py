@@ -6,7 +6,17 @@ The production path is a Picard iteration of the cutoff Duhamel map
     f -> psi(t) S(t) f0 + psi(t) int_0^t S(t-t') psi_T(t') Q(f, f) dt'
 
 on a uniformly sampled window [-2T, 2T] (the support of psi_T), with
-an auto-halving schedule realizing "T sufficiently small".  A classical
+an auto-halving schedule realizing "T sufficiently small".
+
+The iteration runs on the data's mode support.  The free flow is
+diagonal in the x-mode n and Q is local in x, so data exactly
+x_a-invariant at t = 0 stay so for the whole solve.  ``duhamel_picard``
+therefore picks per-axis mode counts once from f0, by the collision's
+x-support rule (``_collision_x_sizes``): n_modes on an axis the data
+vary along, 1 on an invariant one.  It restricts f0 to that grid
+(``restrict_modes``), runs every sweep there and embeds the final
+trajectory back onto the full grid (``embed_modes``), so callers see
+full-grid trajectories only.  A classical
 4-stage one-step integrator in the interaction frame serves as an
 independent cross-check on |t| <= T, where the cutoffs are identically
 one and the fixed point solves the true equation.
@@ -31,7 +41,9 @@ from .grid import (
     GridSpec,
     PhaseField,
     conjugate_symmetry_defect,
+    embed_modes,
     random_field,
+    restrict_modes,
     x_synthesize,
 )
 from .lp import bump_psi
@@ -114,6 +126,9 @@ class IterationReport:
     sweep_wall_s: list = field(default_factory=list)
     # the gain's stack-cache path of each sweep: "hit", "miss" or "bypass"
     gain_cache: list = field(default_factory=list)
+    # per-axis x-mode counts the Picard sweeps stored: n_modes, or 1 on an
+    # axis along which f0 is exactly invariant
+    solve_mode_counts: list = field(default_factory=list)
 
     def ratios(self) -> list:
         eps = 10 * np.finfo(float).eps
@@ -136,6 +151,7 @@ class IterationReport:
             "halvings_reasons": self.halvings_reasons,
             "sweep_wall_s": [float(x) for x in self.sweep_wall_s],
             "gain_cache": self.gain_cache,
+            "solve_mode_counts": self.solve_mode_counts,
         }
 
 
@@ -210,11 +226,18 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
 
 def duhamel_picard(f0: PhaseField, config: SolverConfig):
     """Picard-iterate the cutoff Duhamel map; returns (trajectory,
-    report).  If the contraction ratio exceeds 0.9 at iteration 3, the
-    window is halved and the solve restarts (up to _MAX_HALVINGS), and
-    the report's halvings_reasons records why; non-convergence at the
-    cap is flagged in the report, not raised."""
+    report).  The sweeps run on f0's mode support and the trajectory is
+    returned on f0's full grid.  If the contraction
+    ratio exceeds 0.9 at iteration 3, the window is halved and the solve
+    restarts (up to _MAX_HALVINGS), and the report's halvings_reasons
+    records why; non-convergence at the cap is flagged in the report,
+    not raised."""
     T, dt = config.T, config.dt
+    # the collision's x-support rule: an axis along which f0 is exactly
+    # invariant stores n_a = 0 alone, and the solution stays invariant
+    sizes = _collision_x_sizes(f0.grid, [f0.data], True)
+    counts = tuple(f0.grid.n_modes if s > 1 else 1 for s in sizes)
+    f0 = restrict_modes(f0, counts)
     reasons = []
     while True:
         traj, report, halve = _picard_once(f0, config, T, dt)
@@ -226,9 +249,10 @@ def duhamel_picard(f0: PhaseField, config: SolverConfig):
         report.halvings = len(reasons)
         report.halvings_reasons = reasons
         report.t_final = T
+        report.solve_mode_counts = list(counts)
         if halve is not None:
             report.message = "contraction not achieved after max halvings"
-        return traj, report
+        return embed_modes(traj), report
 
 
 def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Trajectory:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from kflab import cli, counting, lab, solver
@@ -36,9 +37,29 @@ def test_simulate_end_to_end(tmp_path):
     assert any(n.startswith("snapshot_") and n.endswith(".kfl") for n in names)
     payload = json.loads((tmp_path / "iteration_report.json").read_text())
     assert payload["deltas_sup"]
-    # the run's path: mode (1, 0) data collide on one x_2 node
+    # the run's path: mode (1, 0) data collide on one x_2 node, and the
+    # sweeps store one x_2 mode
     assert payload["collision_x_sizes"] == [6, 1]
+    assert payload["solve_mode_counts"] == [4, 1]
     assert len(payload["halvings_reasons"]) == payload["halvings"]
+
+
+def test_simulate_snapshots_reload_on_the_full_grid(tmp_path):
+    # the sweeps run on the (4, 1) mode support; every snapshot is
+    # written from the embedded trajectory and reloads on the full grid
+    from kflab import load_field
+
+    code = run(["simulate", "--out-dir", str(tmp_path), "n_modes=4", "v_points=8"])
+    assert code in (0, 2)
+    payload = json.loads((tmp_path / "iteration_report.json").read_text())
+    assert payload["solve_mode_counts"] == [4, 1]
+    snaps = sorted(tmp_path.glob("snapshot_*.kfl"))
+    assert len(snaps) == 9
+    for path in snaps:
+        fld = load_field(path)
+        assert fld.grid.shape == (4, 4, 8, 8) and fld.grid.mode_counts == (4, 4)
+        assert np.isfinite(fld.data).all()
+        assert not np.any(fld.data[:, 1:])
 
 
 @pytest.mark.parametrize("stride", ["0", "-3"])

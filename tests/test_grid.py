@@ -1,15 +1,22 @@
 """Grid construction, transforms, off-grid evaluation, and field I/O."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kflab import (
     GridSpec,
     PhaseField,
+    Trajectory,
     conjugate_symmetry_defect,
+    embed_modes,
     load_field,
     make_grid,
     random_field,
+    restrict_modes,
     save_field,
     v_to_xi,
     x_analyze,
@@ -35,6 +42,22 @@ def test_make_grid_smallest_legal():
 def test_make_grid_odd_modes_rejected():
     with pytest.raises(ValueError):
         make_grid(d=2, n_modes=15, v_extent=6.0, v_points=32)
+
+
+def test_full_grid_repr_is_pinned():
+    # every CSV header prints the grid's repr (# grid = ...)
+    g = make_grid(2, 8, 6.0, 16)
+    assert repr(g) == "GridSpec(d=2, n_modes=8, v_extent=6.0, v_points=16)"
+    assert replace(g, mode_counts=(8, 8)) == g
+    assert hash(replace(g, mode_counts=(8, 8))) == hash(g)
+    sub = replace(g, mode_counts=(8, 1))
+    assert sub != g and sub.shape == (8, 1, 16, 16)
+    assert repr(sub) == (
+        "GridSpec(d=2, n_modes=8, v_extent=6.0, v_points=16, mode_counts=(8, 1))"
+    )
+    for bad in ((8,), (8, 4), (8, 8, 8), (2, 1)):
+        with pytest.raises(ValueError, match="mode_counts"):
+            replace(g, mode_counts=bad)
 
 
 def test_x_synthesize_zero_mode_constant():
@@ -126,6 +149,36 @@ def test_x_synthesize_size_one_rejects_dropped_mode():
             x_synthesize(fld, bad)
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), n_modes=st.sampled_from([2, 4]),
+       flags=st.lists(st.booleans(), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1), draw=st.data())
+def test_restrict_then_embed_is_the_identity(d, n_modes, flags, seed, draw):
+    # data confined to a per-axis support (n_a = 0 alone on each flat
+    # axis) restrict losslessly and embed back to the same array, alone
+    # or with a leading time axis; a nonzero coefficient off the support
+    # makes restriction a ValueError
+    g = make_grid(d=d, n_modes=n_modes, v_points=2, v_extent=1.0)
+    flat = [a for a in range(d) if flags[a]]
+    counts = tuple(1 if a in flat else n_modes for a in range(d))
+    fld = _invariant_along(random_field(g, seed=seed), flat)
+    sub = restrict_modes(fld, counts)
+    assert sub.grid.mode_counts == counts
+    assert sub.data.shape == counts + (2,) * d
+    back = embed_modes(sub)
+    assert back.grid == g
+    assert np.array_equal(back.data, fld.data)
+    traj = Trajectory(g, 1.0, np.stack([fld.data, 2.0 * fld.data]))
+    assert np.array_equal(embed_modes(restrict_modes(traj, counts)).data, traj.data)
+    if flat:
+        a = draw.draw(st.sampled_from(flat))
+        idx = [draw.draw(st.integers(0, c - 1)) for c in g.shape]
+        idx[a] = draw.draw(st.integers(1, n_modes - 1))
+        fld.data[tuple(idx)] = 1e-300
+        with pytest.raises(ValueError, match="would drop nonzero modes"):
+            restrict_modes(fld, counts)
+
+
 def test_v_to_xi_gaussian_analytic():
     # ftil(xi) = integral e^{-|v|^2} e^{+i xi.v} dv = pi^{d/2} e^{-|xi|^2/4}
     g = make_grid(d=2, n_modes=2, v_points=64, v_extent=8.0)
@@ -203,6 +256,19 @@ def test_save_load_roundtrip(tmp_path):
     back = load_field(path)
     assert back.grid == g
     assert np.array_equal(back.data, fld.data)
+
+
+def test_save_field_needs_a_full_grid(tmp_path):
+    # the KFL1 header holds one n_modes, so a support-grid field is
+    # refused, not written under a wrong header
+    g = make_grid(d=2, n_modes=4, v_points=4, v_extent=2.0)
+    fld = _invariant_along(random_field(g, seed=11), [1])
+    path = tmp_path / "field.kfl"
+    with pytest.raises(ValueError, match="n_modes on every axis"):
+        save_field(restrict_modes(fld, (4, 1)), path)
+    assert not path.exists()
+    save_field(embed_modes(restrict_modes(fld, (4, 1))), path)
+    assert np.array_equal(load_field(path).data, fld.data)
 
 
 def test_save_load_magic(tmp_path):

@@ -110,3 +110,40 @@ def test_free_flow_matches_dense_phase(d, n_modes, v_points, dtype, rel):
             aliased = data.copy()
             assert _free_flow(aliased, g, t, out=aliased) is aliased
             assert np.array_equal(aliased, got)
+
+
+def test_support_grid_matches_the_full_grid_d3():
+    # x_1-only data in d=3, no collision: the flow, the Duhamel integral
+    # and the time-DFT on the (4, 1, 1) support grid equal the full-grid
+    # results restricted to it (the n_2 = n_3 = 0 slab); with no x-mode
+    # at all the flow is the identity
+    from kflab import (duhamel_integral, maxwellian_perturbed, restrict_modes,
+                       sample_free_evolution)
+    from kflab.trajectory import time_dft
+
+    g = make_grid(d=3, n_modes=4, v_points=8, v_extent=4.0)
+    f0 = maxwellian_perturbed(g, eps=0.2, mode=(1, 0, 0))
+    sub = restrict_modes(f0, (4, 1, 1))
+    assert sub.grid.shape == (4, 1, 1, 8, 8, 8)
+    times = np.linspace(-0.5, 0.5, 9)
+
+    def close(support, full):
+        want = full[:, :, :1, :1]
+        assert support.shape == want.shape
+        assert np.max(np.abs(support - want)) <= 1e-13 * np.max(np.abs(want))
+
+    dense = f0.data * np.exp(-1j * times[(...,) + (None,) * 6] * _nv_dot(g))
+    close(_free_flow(sub.data, sub.grid, times), dense)
+    free = sample_free_evolution(f0, 0.5, 9)
+    free_sub = sample_free_evolution(sub, 0.5, 9)
+    close(free_sub.data, free.data)
+    close(duhamel_integral(free_sub).data, duhamel_integral(free).data)
+    tau, coeffs = time_dft(free)
+    tau_sub, coeffs_sub = time_dft(free_sub)
+    assert np.array_equal(tau, tau_sub)
+    close(coeffs_sub, coeffs)
+
+    mu = restrict_modes(maxwellian_perturbed(g, eps=0.0), (1, 1, 1))
+    flowed = _free_flow(mu.data, mu.grid, times)
+    assert flowed.shape == (9,) + mu.grid.shape
+    assert np.array_equal(flowed, np.broadcast_to(mu.data, flowed.shape))

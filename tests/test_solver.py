@@ -215,6 +215,8 @@ def test_x_support_rule_keeps_the_solve(monkeypatch):
                           tol=1e-10)
     traj, report = duhamel_picard(f0, config)
     assert report.collision_x_sizes == [6, 1]
+    assert report.solve_mode_counts == [4, 1]
+    assert traj.grid == g
     assert report.halvings == 1
     assert report.halvings_reasons == [
         {"sweep": 3, "ratio": report.halvings_reasons[0]["ratio"], "threshold": 0.9,
@@ -229,14 +231,34 @@ def test_x_support_rule_keeps_the_solve(monkeypatch):
     def full(grid, fields, dealias):
         return (collision._padded_count(grid.n_modes, dealias),) * grid.d
 
+    # one rule, one patch point: the full padded grid also turns the
+    # mode-support restriction of the solve off
     for module in (collision, solver):
         monkeypatch.setattr(module, "_collision_x_sizes", full)
     ref, ref_report = duhamel_picard(f0, config)
     assert ref_report.collision_x_sizes == [6, 6]
+    assert ref_report.solve_mode_counts == [4, 4]
+    assert ref.grid == traj.grid and ref.data.shape == traj.data.shape
     assert np.max(np.abs(traj.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
     assert report.converged == ref_report.converged
     assert report.halvings == ref_report.halvings
     assert len(report.deltas_sup) == len(ref_report.deltas_sup)
+
+
+@pytest.mark.parametrize("mode, counts", [((1, 0), [8, 1]), ((0, -2), [1, 8]),
+                                          ((1, 1), [8, 8]), (None, [1, 1])])
+def test_report_records_the_solve_mode_counts(mode, counts):
+    # the shipped n_modes: x_1-only data are stored on one x_2 mode, data
+    # that fill every axis on the full grid, a Maxwellian on n = 0 alone;
+    # the trajectory comes back on the full grid either way
+    g = make_grid(d=2, n_modes=8, v_points=8, v_extent=6.0)
+    f0 = maxwellian_perturbed(g, eps=0.1 if mode else 0.0, mode=mode)
+    config = SolverConfig(grid=g, T=0.125, dt=0.0078125, quad=_QUAD, max_picard=1,
+                          tol=1e-10)
+    traj, report = duhamel_picard(f0, config)
+    assert report.solve_mode_counts == counts
+    assert report.to_dict()["solve_mode_counts"] == counts
+    assert traj.grid == g and traj.data.shape == (65,) + g.shape
 
 
 def test_report_records_the_gain_cache_path(monkeypatch):
