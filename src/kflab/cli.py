@@ -206,10 +206,11 @@ def _slope_gate(st: Settings, slope) -> int:
 
 
 def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
+    grid, Ns, Ms = _grid_from(st), st.get_list("Ns"), st.get_list("Ms")
     report = lab.strichartz_scan(
-        _grid_from(st),
-        Ns=st.get_list("Ns"),
-        Ms=st.get_list("Ms"),
+        grid,
+        Ns=Ns,
+        Ms=Ms,
         trials=int(st.get("trials")),
         T=float(st.get("T")),
         seed=seed,
@@ -217,7 +218,15 @@ def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
     )
     report.write(out_dir)
     slope = _max_slope(report, "N", "M")
-    _write_json(out_dir, "strichartz_summary.json", {"max_slope_vs_N": slope})
+    # the grid of every cell, and the complex128 field of the largest,
+    # which sets the scan's memory
+    cells = [(N, M, lab._cell_grid(grid, N, M)) for N in Ns for M in Ms]
+    _write_json(out_dir, "strichartz_summary.json", {
+        "max_slope_vs_N": slope,
+        "cells": [{"N": N, "M": M, "n_modes": c.n_modes, "v_points": c.v_points}
+                  for N, M, c in cells],
+        "largest_field_mb": max(16 * int(np.prod(c.shape)) for _, _, c in cells) / 1e6,
+    })
     return _slope_gate(st, slope)
 
 

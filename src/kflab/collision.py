@@ -27,9 +27,10 @@ along which every coefficient with n_a != 0 is exactly zero gets one
 x-node, since Q is local in x and so keeps x_a-invariant data
 x_a-invariant.  The gain, the loss and ``collide_trajectory`` share
 that rule; the physical-space oracle stays on the full padded grid.
-``collide_trajectory`` forms the loss from the same synthesized columns
-as the gain and analyzes gain minus loss once per slice; ``collide`` is
-its one-slice case.
+``collide_trajectory`` synthesizes every active slice in one batched
+x-transform, forms the loss from the same columns as the gain and
+analyzes gain minus loss in one batched x-transform; ``collide`` is its
+one-slice case.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from .grid import (
     GridSpec,
     PhaseField,
     _check_same_grid,
+    _x_coeffs,
     _x_sizes,
+    _x_values,
     _xi_to_v_inplace,
     x_analyze,
     x_synthesize,
@@ -339,50 +342,57 @@ def collide_trajectory(
     quad: SphereQuadrature,
     dealias: bool = True,
     active=None,
+    sizes=None,
 ) -> np.ndarray:
     """Q(f_j, f_j) = gain - loss for a stack of fields, shape (S,) + grid.shape.
 
     Batches every active slice into one gain evaluation so the node
     stacks (or their cached copies) are applied once per call; ``active``
     is an optional boolean mask of slices to process (others return
-    zero).  The loss, area * f(x, v) * dv^d sum_u f(x, u) with area the
-    quadrature's total weight, comes from the same synthesized columns,
-    and each slice is analyzed once.
+    zero).  The active slices are x-synthesized together and analyzed
+    together, one transform over the whole batch each way.  The loss,
+    area * f(x, v) * dv^d sum_u f(x, u) with area the quadrature's total
+    weight, comes from the same synthesized columns.
 
     The padded x-grid is sized per axis from the active slices
-    (_collision_x_sizes): an axis along which every active slice is
-    exactly invariant gets one x-node, so x-1D data on the 12x12 grid of
+    (_collision_x_sizes; a caller that has computed them passes
+    ``sizes``): an axis along which every active slice is exactly
+    invariant gets one x-node, so x-1D data on the 12x12 grid of
     n_modes = 8 cost 12 gain columns per slice, not 144.
     """
-    return _collide_stack(stack, grid, quad, dealias, active)
+    return _collide_stack(stack, grid, quad, dealias, active, sizes)
 
 
-def _collide_stack(stack, grid, quad, dealias, active):
+def _collide_stack(stack, grid, quad, dealias, active, sizes):
     """Body of :func:`collide_trajectory`, shared with :func:`collide`."""
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
-    S = stack.shape[0]
     if active is None:
-        active = np.ones(S, dtype=bool)
-    idx = np.nonzero(active)[0]
-    out = np.zeros_like(stack)
+        active = np.ones(stack.shape[0], dtype=bool)
+    idx = np.flatnonzero(active)
     if idx.size == 0:
-        return out
-    sizes = _collision_x_sizes(grid, (stack[j] for j in idx), dealias)
-    n_x = math.prod(sizes)
-    cols = np.empty((grid.v_points**grid.d, n_x * idx.size), dtype=np.complex128)
-    for pos, j in enumerate(idx):
-        fld = PhaseField(grid, stack[j])
-        cols[:, pos * n_x : (pos + 1) * n_x] = _flatten_xv(
-            grid, x_synthesize(fld, sizes), sizes
-        )
+        return np.zeros_like(stack)
+    if sizes is None:
+        sizes = _collision_x_sizes(grid, (stack[j] for j in idx), dealias)
+    sizes = _x_sizes(grid, sizes)
+    n_v = grid.v_points**grid.d
+    # one column of v-coefficients per (slice, x-node), C-contiguous: the
+    # loss's column sums below are taken in that layout, which fixes their
+    # rounding.  Each staging array spans the whole window, so it is
+    # dropped as soon as it is used and the solve's peak memory stays
+    # that of the gain.
+    values = _x_values(grid, stack[idx], sizes)
+    cols = np.ascontiguousarray(values.reshape(-1, n_v).T)
+    del values
     q_v = _gain_columns(grid, quad, cols, cols)
-    area = float(np.sum(quad.weights))
-    for pos, j in enumerate(idx):
-        sl = slice(pos * n_x, (pos + 1) * n_x)
-        mass = grid.dv**grid.d * cols[:, sl].sum(axis=0)
-        q_v[:, sl] -= cols[:, sl] * (area * mass)
-        out[j] = x_analyze(grid, _unflatten_xv(grid, q_v[:, sl], sizes), sizes).data
+    mass = grid.dv**grid.d * cols.sum(axis=0)
+    cols *= float(np.sum(quad.weights)) * mass
+    q_v -= cols
+    del cols
+    q = _x_coeffs(grid, q_v.T.reshape((idx.size,) + sizes + (grid.v_points,) * grid.d), sizes)
+    del q_v
+    out = np.zeros_like(stack)
+    out[idx] = q
     return out
 
 
@@ -502,7 +512,7 @@ def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> Phas
     that gain and loss cancel exactly at xi = 0 (discrete mass
     conservation) for any weighting, including zeroed weights.
     """
-    q = _collide_stack(f.data[None], f.grid, quad, dealias, None)
+    q = _collide_stack(f.data[None], f.grid, quad, dealias, None, None)
     return PhaseField(f.grid, q[0])
 
 

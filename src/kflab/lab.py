@@ -14,13 +14,23 @@ import time
 import numpy as np
 
 from .collision import SphereQuadrature, gain_bobylev, loss_bobylev
-from .grid import GridSpec, PhaseField, make_grid, random_field, v_to_xi, x_synthesize
+from .grid import (
+    GridSpec,
+    PhaseField,
+    _complex_normal,
+    make_grid,
+    random_field,
+    v_to_xi,
+    x_synthesize,
+)
 from .lp import (
+    _shell_mask,
     bump_psi,
     modulation_mask,
     project_v_dyadic,
     project_x_block,
     project_x_shell,
+    v_multiplier,
 )
 from .norms import (
     NormParams,
@@ -77,18 +87,28 @@ def _trial_seed(root, *key) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=root, spawn_key=key)
 
 
+def _localize_block(grid: GridSpec, data: np.ndarray, N: int, M: int) -> None:
+    """Multiply the x-shell N, then the velocity bump M, into ``data``
+    (trailing axes grid.shape) in place: the bits of project_v_dyadic
+    after project_x_shell, without their full-size results."""
+    shell = _shell_mask(grid, N)
+    data *= shell.reshape(shell.shape + (1,) * grid.d)
+    data *= v_multiplier(grid, M)
+
+
 def random_block_field(grid: GridSpec, N: int, M: int, seed) -> PhaseField:
     """Unit-normalized Gaussian field localized to the x-shell N and the
-    velocity dyadic M (smooth cutoff)."""
+    velocity dyadic M (smooth cutoff): one _complex_normal draw,
+    localized and normalized in place."""
     if 2 * M > grid.v_extent:
         raise ValueError(f"velocity scale M={M} does not fit in [-V, V)")
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    fld = project_v_dyadic(project_x_shell(PhaseField(grid, data), N), M)
+    fld = PhaseField(grid, _complex_normal(np.random.default_rng(seed), grid.shape))
+    _localize_block(grid, fld.data, N, M)
     nrm = fld.l2_norm()
     if nrm == 0:
         raise ValueError("localization annihilated the field (empty block)")
-    return PhaseField(grid, fld.data / nrm)
+    fld.data /= nrm
+    return fld
 
 
 def random_multiblock_field(grid: GridSpec, seed) -> PhaseField:
@@ -124,33 +144,31 @@ def _cell_grid(grid: GridSpec, N: int, M: int, margin: int = 0) -> GridSpec:
     return make_grid(grid.d, max(2, n_modes), v_extent, max(2, v_points))
 
 
-def _free_l4_norm(
-    phi: PhaseField, t_half: float, n_time: int, single: bool = False
-) -> float:
-    """L4 over (t, x, xi) of the free evolution of phi, streaming over
-    time slices (exact quartic xi-integral per slice).  single=True
-    runs the transforms in complex64 (scan speed; the gauge-identity
-    regression keeps double precision).  Each slice is
-    propagator._free_flow of the data into one reused buffer, so no
-    full-grid phase is built.
+def _free_l4_norm(grid: GridSpec, data: np.ndarray, t_half: float, n_time: int) -> float:
+    """L4 over (t, x, xi) of the free evolution of the coefficients
+    ``data`` (shape grid.shape), streaming over time slices (exact quartic
+    xi-integral per slice).
+
+    Runs in data's dtype and never copies it: complex64 data (the scan's
+    speed) keep single precision, complex128 data (the gauge-identity
+    regression) double.  Each slice is propagator._free_flow of the data
+    into one reused buffer, so no full-grid phase is built and the
+    working set is data plus one slice plus one padded x-row.
     """
     from scipy import fft as sfft
 
-    g = phi.grid
-    d = g.d
+    d = grid.d
     dt = 2.0 * t_half / (n_time - 1)
     tw = _trapz_weights(n_time, dt)
-    dtype = np.complex64 if single else np.complex128
-    base = phi.data.astype(dtype)
-    slice_data = np.empty_like(base)
+    slice_data = np.empty_like(data)
     total = 0.0
     for j in range(n_time):
         t = -t_half + j * dt
-        _free_flow(base, g, t, out=slice_data)
-        # slice_data is refilled from base on every slice, so the
+        _free_flow(data, grid, t, out=slice_data)
+        # slice_data is refilled from data on every slice, so the
         # x-synthesis may overwrite it
-        vals = sfft.ifftn(slice_data, axes=g.n_axes, norm="forward", overwrite_x=True)
-        total += tw[j] * g.dx**d * _slice_l4_xi_4(vals, g)
+        vals = sfft.ifftn(slice_data, axes=grid.n_axes, norm="forward", overwrite_x=True)
+        total += tw[j] * grid.dx**d * _slice_l4_xi_4(vals, grid)
     return float(total**0.25)
 
 
@@ -159,7 +177,8 @@ def strichartz_scan(
 ) -> ExperimentReport:
     """Dispersive L4 bound for free evolutions of (N, M)-block data:
     ratio = |S(t)phi|_L4(t,x,xi) / (max{M^d,(MN)^(d-1)log(1+N)}^(1/4)
-    |phi|_L2(x,xi)).  Each cell runs on its _cell_grid."""
+    |phi|_L2(x,xi)).  Each cell runs on its _cell_grid; the complex128
+    field is dropped before the complex64 L4 time loop."""
     t0 = time.time()
     report = ExperimentReport(
         experiment="strichartz-scan",
@@ -173,8 +192,11 @@ def strichartz_scan(
             cell = _cell_grid(grid, N, M)
             for trial in range(trials):
                 phi = random_block_field(cell, N, M, _trial_seed(seed, N, M, trial))
-                lhs = _free_l4_norm(phi, T, n_time, single=True)
                 l2 = (2.0 * np.pi) ** cell.d * phi.l2_norm()
+                data = phi.data.astype(np.complex64)
+                del phi
+                lhs = _free_l4_norm(cell, data, T, n_time)
+                del data
                 rhs = _strichartz_rhs(cell.d, N, M) ** 0.25 * l2
                 report.add_row(N, M, trial, lhs, rhs, lhs / rhs)
     report.validate_finite()
@@ -202,14 +224,14 @@ def strichartz_gauge_check(
     rhs = _strichartz_rhs(cell.d, N, M) ** 0.25
     for trial in range(trials):
         rng = np.random.default_rng(_trial_seed(seed, N, M, trial))
-        data = rng.standard_normal(cell.shape) + 1j * rng.standard_normal(cell.shape)
+        data = _complex_normal(rng, cell.shape)
         base = project_v_dyadic(
             project_x_block(PhaseField(cell, data), np.zeros(cell.d, int), N), M
         )
         base = PhaseField(cell, base.data / base.l2_norm())
         moved = PhaseField(cell, np.roll(base.data, tuple(shift), axis=cell.n_axes))
-        r0 = _free_l4_norm(base, T, n_time) / (rhs * (2 * np.pi) ** cell.d)
-        r1 = _free_l4_norm(moved, T, n_time) / (rhs * (2 * np.pi) ** cell.d)
+        r0 = _free_l4_norm(cell, base.data, T, n_time) / (rhs * (2 * np.pi) ** cell.d)
+        r1 = _free_l4_norm(cell, moved.data, T, n_time) / (rhs * (2 * np.pi) ** cell.d)
         report.add_row(N, M, trial, r0, r1, abs(r0 - r1) / max(r0, r1))
     report.validate_finite("ratio_center")
     report.wall_clock = time.time() - t0
@@ -225,15 +247,11 @@ def _random_modulation_field(
     tau, _ = time_dft(carrier)
     rng = np.random.default_rng(seed)
     shape = (n_samples,) + grid.shape
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs = _complex_normal(rng, shape)
     mask_t = modulation_mask(tau, K)
     coeffs *= mask_t[(...,) + (None,) * (2 * grid.d)]
     traj = time_idft(carrier, coeffs)
-    for j in range(n_samples):
-        fld = project_v_dyadic(
-            project_x_shell(PhaseField(grid, traj.data[j]), N), M
-        )
-        traj.data[j] = fld.data
+    _localize_block(grid, traj.data, N, M)
     nrm = l2_spacetime_norm(traj)
     if nrm > 0:
         traj.data /= nrm

@@ -56,6 +56,11 @@ def _in_cube(modes: np.ndarray, center, half: float) -> np.ndarray:
 
 
 def _shell_mask(grid: GridSpec, N: int) -> np.ndarray:
+    """Indicator of the x-shell N over the stored modes, shape
+    grid.mode_counts; N must be dyadic and within the mode range."""
+    _check_dyadic(N)
+    if N > grid.n_modes // 2:
+        raise ValueError(f"shell N={N} exceeds the mode range")
     modes = grid.mode_vectors().reshape(grid.mode_counts + (grid.d,))
     outer = _in_cube(modes, 0, N)
     if N == 1:
@@ -78,9 +83,6 @@ def _apply_n_mask(fld: PhaseField, mask: np.ndarray) -> PhaseField:
 def project_x_shell(fld: PhaseField, N: int) -> PhaseField:
     """Sharp dyadic shell (-N, N]^d minus (-N/2, N/2]^d on the n-index
     (the N = 1 shell is the whole cube (-1, 1]^d, including n = 0)."""
-    _check_dyadic(N)
-    if N > fld.grid.n_modes // 2:
-        raise ValueError(f"shell N={N} exceeds the mode range")
     return _apply_n_mask(fld, _shell_mask(fld.grid, N))
 
 

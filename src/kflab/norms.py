@@ -78,10 +78,11 @@ def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:
 
     The quartic trig polynomial has bandwidth < 2 v_points per axis, so
     the rectangle rule on the 2x-refined xi-grid (velocity-zero-padded
-    FFT) integrates it exactly.  Runs in the dtype of the input
-    (complex64 input stays single precision for speed); the quartic sum
-    accumulates in float64.  Works one leading x-index at a time and pads
-    one axis per FFT, so temporaries are the size of one padded x-row.
+    FFT) integrates it exactly.  Runs in the dtype of the input, which
+    lab._free_l4_norm takes from its data: complex64 input stays single
+    precision, the scan's speed; the quartic sum accumulates in float64.
+    Works one leading x-index at a time and pads one axis per FFT, so
+    temporaries are the size of one padded x-row.
     """
     from scipy import fft as sfft
 

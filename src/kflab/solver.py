@@ -195,14 +195,11 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
     halve = None
     for k in range(config.max_picard):
         t_sweep = time.perf_counter()
-        active = np.array(
-            [psi_t[j] != 0.0 and bool(np.any(cur.data[j])) for j in range(n_samples)]
-        )
-        report.collision_x_sizes = list(
-            _collision_x_sizes(g, (cur.data[j] for j in np.flatnonzero(active)), True)
-        )
+        active = (psi_t != 0.0) & np.any(cur.data.reshape(n_samples, -1), axis=1)
+        sizes = _collision_x_sizes(g, (cur.data[j] for j in np.flatnonzero(active)), True)
+        report.collision_x_sizes = list(sizes)
         report.gain_cache.append(_gain_cache_path(g, config.quad))
-        q_all = collide_trajectory(cur.data, g, config.quad, active=active)
+        q_all = collide_trajectory(cur.data, g, config.quad, active=active, sizes=sizes)
         forcing = Trajectory(g, 2.0 * T, psi_t[ext] * q_all)
         dh = duhamel_integral(forcing)
         new = Trajectory(g, 2.0 * T, linear + psi[ext] * dh.data, cutoff="psi")

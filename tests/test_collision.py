@@ -393,6 +393,63 @@ def test_collide_trajectory_partial_mask_matches_per_slice():
         assert _rel(q[j], expected) <= 1e-13
 
 
+def _per_slice_x_work(stack, g, quad, active):
+    """collide_trajectory with the x-work done one slice at a time: each
+    active slice synthesized, its loss taken and its columns analyzed on
+    their own, around one gain call on all the columns."""
+    from kflab import x_analyze, x_synthesize
+    from kflab.collision import _collision_x_sizes, _flatten_xv, _gain_columns, _unflatten_xv
+
+    idx = np.flatnonzero(active)
+    sizes = _collision_x_sizes(g, [stack[j] for j in idx], True)
+    # C-contiguous (P^d, columns), the layout whose column sums the loss takes
+    cols = np.ascontiguousarray(np.concatenate(
+        [_flatten_xv(g, x_synthesize(PhaseField(g, stack[j]), sizes), sizes) for j in idx],
+        axis=1,
+    ))
+    q_v = _gain_columns(g, quad, cols, cols)
+    out = np.zeros_like(stack)
+    n_x = cols.shape[1] // idx.size
+    for pos, j in enumerate(idx):
+        sl = slice(pos * n_x, (pos + 1) * n_x)
+        mass = g.dv**g.d * cols[:, sl].sum(axis=0)
+        q_v[:, sl] -= cols[:, sl] * (float(np.sum(quad.weights)) * mass)
+        out[j] = x_analyze(g, _unflatten_xv(g, q_v[:, sl], sizes), sizes).data
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, n_modes, v_points, counts",
+    [(2, 8, 8, (8, 1)), (2, 8, 8, None), (3, 2, 4, None), (3, 4, 4, (4, 1, 1))],
+)
+def test_collide_trajectory_batch_is_the_per_slice_collide(d, n_modes, v_points, counts):
+    # one x-synthesis, one loss and one x-analysis of every active slice:
+    # the bits of the slice-by-slice x-work, gaps left zero.  Against
+    # collide on each slice alone the gain's matrix products run over
+    # fewer columns, which BLAS may round differently (here in d = 3).
+    from dataclasses import replace
+
+    from kflab.collision import collide_trajectory
+
+    g = replace(make_grid(d=d, n_modes=n_modes, v_points=v_points, v_extent=6.0),
+                mode_counts=counts)
+    quad = sphere_quadrature(d, 8)
+    rng = np.random.default_rng(25)
+    shape = (6,) + g.shape
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    active = np.array([False, True, True, False, True, False])
+    q = collide_trajectory(stack, g, quad, active=active)
+    assert np.array_equal(q, _per_slice_x_work(stack, g, quad, active))
+    for j in range(len(stack)):
+        if active[j]:
+            assert _rel(q[j], collide(PhaseField(g, stack[j]), quad).data) <= 1e-13
+        else:
+            assert not np.any(q[j])
+    if d == 2:
+        for j in np.flatnonzero(active):
+            assert np.array_equal(q[j], collide(PhaseField(g, stack[j]), quad).data)
+
+
 # ---------------------------------------------------------------------------
 # The x-support rule: an axis along which the data are exactly invariant
 # is collided on one x-node; the full padded grid is the reference.

@@ -289,6 +289,33 @@ def test_random_field_deterministic():
     assert np.array_equal(a.data, b.data)
 
 
+def test_complex_normal_is_the_two_draw_sum():
+    # real parts first, then imaginary parts: the same stream and bits
+    from kflab.grid import _complex_normal
+
+    for shape in ((3, 5), (4, 4, 6, 6)):
+        ref = np.random.default_rng(11)
+        expected = ref.standard_normal(shape) + 1j * ref.standard_normal(shape)
+        got = _complex_normal(np.random.default_rng(11), shape)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("d, real", [(2, False), (2, True), (3, False)])
+def test_l2_norm_and_random_field_bits(d, real):
+    # the in-place square keeps the bits of np.abs(x) ** 2
+    from kflab.grid import _reflect_n
+
+    g = make_grid(d=d, n_modes=4, v_points=6, v_extent=4.0)
+    rng = np.random.default_rng(12)
+    data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    if real:
+        data = 0.5 * (data + np.conj(_reflect_n(g, data)))
+    fld = PhaseField(g, data)
+    assert fld.l2_norm() == float(np.sqrt(g.dv**d * np.sum(np.abs(data) ** 2)))
+    assert np.array_equal(random_field(g, 12, real=real).data, data / fld.l2_norm())
+
+
 def test_field_arithmetic_and_grid_mismatch():
     g = make_grid(d=2, n_modes=4, v_points=8, v_extent=4.0)
     a = random_field(g, seed=8)

@@ -1,10 +1,13 @@
 """Estimate-verification lab: random fields, sweeps, and identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kflab import (
     NormParams,
+    PhaseField,
     bilinear_modulation_check,
     gain_estimate_check,
     holder_gain_check,
@@ -12,6 +15,7 @@ from kflab import (
     loglog_slope,
     loss_estimate_check,
     make_grid,
+    project_v_dyadic,
     project_x_shell,
     psi_delta_scaling,
     random_block_field,
@@ -57,25 +61,22 @@ def test_strichartz_scan_small():
     assert all(r > 0 for r in rep.column("ratio"))
 
 
-def _dense_free_l4_norm(phi, t_half, n_time, single=False):
+def _dense_free_l4_norm(g, data, t_half, n_time):
     """Reference for _free_l4_norm: the phase exp(-i t n.v) over the full
     (n, v) grid, a 2x zero-padded v-fftn per slice and a float64 sum of
-    |F|^4, all in the slice dtype."""
+    |F|^4, all in data's dtype."""
     from scipy import fft as sfft
 
-    g = phi.grid
     d, p = g.d, g.v_points
     nv = _nv_dot(g)
     dt = 2.0 * t_half / (n_time - 1)
     tw = _trapz_weights(n_time, dt)
-    dtype = np.complex64 if single else np.complex128
-    base = phi.data.astype(dtype)
     total = 0.0
     for j in range(n_time):
         t = -t_half + j * dt
-        slice_data = base * np.exp(-1j * t * nv).astype(dtype)
+        slice_data = data * np.exp(-1j * t * nv).astype(data.dtype)
         vals = sfft.ifftn(slice_data, axes=g.n_axes) * g.n_modes**d
-        padded = np.zeros(vals.shape[:d] + (2 * p,) * d, dtype=dtype)
+        padded = np.zeros(vals.shape[:d] + (2 * p,) * d, dtype=data.dtype)
         padded[(...,) + (slice(0, p),) * d] = vals
         mag2 = np.abs(sfft.fftn(padded, axes=g.v_axes)) ** 2
         quartic = (g.dxi / 2.0) ** d * g.dv ** (4 * d) * np.sum(
@@ -91,10 +92,55 @@ def _dense_free_l4_norm(phi, t_half, n_time, single=False):
     [(2, 8, 16, 9), (2, 6, 8, 8), (3, 4, 8, 5), (3, 6, 4, 6)],
 )
 def test_free_l4_norm_matches_dense(d, n_modes, v_points, n_time, single, rel):
+    # the precision is the data's dtype
     g = make_grid(d=d, n_modes=n_modes, v_points=v_points, v_extent=4.0)
-    phi = random_field(g, seed=7)
-    fast = _free_l4_norm(phi, 0.7, n_time, single=single)
-    assert fast == pytest.approx(_dense_free_l4_norm(phi, 0.7, n_time, single), rel=rel)
+    data = random_field(g, seed=7).data.astype(np.complex64 if single else np.complex128)
+    fast = _free_l4_norm(g, data, 0.7, n_time)
+    assert fast == pytest.approx(_dense_free_l4_norm(g, data, 0.7, n_time), rel=rel)
+
+
+def test_block_field_matches_the_projector_composition():
+    # one complex-Gaussian draw, the shell, the velocity bump and the
+    # normalization in place: the bits of the public projectors' chain
+    g = make_grid(d=2, n_modes=16, v_points=16, v_extent=8.0)
+    for N, M, seed in ((1, 1, 3), (4, 2, 4), (8, 4, 5)):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        ref = project_v_dyadic(project_x_shell(PhaseField(g, data), N), M)
+        ref = ref.data / ref.l2_norm()
+        assert np.array_equal(random_block_field(g, N, M, seed).data, ref)
+
+
+# the grid of the memory tests: a 16.8 MB complex128 field
+_MEM_GRID = dict(d=2, n_modes=32, v_points=32, v_extent=16.0)
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_field_peak_memory():
+    # the draw's float64 buffer next to the complex128 result, and no
+    # full-size temporary after it (the sum of two draws peaks at 3x)
+    g = make_grid(**_MEM_GRID)
+    random_block_field(g, 8, 4, 0)  # warm-up
+    nbytes = 16 * int(np.prod(g.shape))
+    assert _traced_peak(lambda: random_block_field(g, 8, 4, 1)) <= 1.75 * nbytes
+
+
+def test_free_l4_norm_peak_memory():
+    # one slice buffer and one padded x-row's temporaries on top of the
+    # input; a working copy of the input would add 1x
+    g = make_grid(**_MEM_GRID)
+    data = random_block_field(g, 8, 4, 0).data.astype(np.complex64)
+    _free_l4_norm(g, data, 0.5, 3)  # warm-up
+    assert _traced_peak(lambda: _free_l4_norm(g, data, 0.5, 3)) <= 1.6 * data.nbytes
 
 
 def test_strichartz_gauge_identity():
