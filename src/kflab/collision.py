@@ -20,17 +20,17 @@ fixed blocks so the elementwise work stays in cache.
 Everything is evaluated per x-node; quadratic products in x are
 dealiased by zero-padded synthesis (3/2 rule), on by default, through
 the x-transform pair of :mod:`kflab.grid` at the padded size
-(``x_synthesize(f, sizes)``, ``x_analyze(grid, values, sizes)``), which
-also owns the Nyquist-slot convention.  The padded grid is sized per
-axis from the data's exact x-support (``_collision_x_sizes``): an axis
-along which every coefficient with n_a != 0 is exactly zero gets one
-x-node, since Q is local in x and so keeps x_a-invariant data
-x_a-invariant.  The gain, the loss and ``collide_trajectory`` share
-that rule; the physical-space oracle stays on the full padded grid.
-``collide_trajectory`` synthesizes every active slice in one batched
-x-transform, forms the loss from the same columns as the gain and
-analyzes gain minus loss in one batched x-transform; ``collide`` is its
-one-slice case.
+(``x_synthesize(f, m)``, ``x_analyze(grid, values, m)``), which also
+owns the Nyquist-slot convention.  The padded grid follows the grid's
+mode counts and reads no data: an axis of count 1 gets one x-node,
+every other axis the padded count.  Q is local in x, so it keeps data
+exactly invariant along x_a invariant; such data collide on one x_a-node
+once ``grid.restrict_modes`` has put them on their support grid.  The
+gain, the loss, the oracle and ``collide_trajectory`` share that
+x-grid.  ``collide_trajectory`` synthesizes every active slice in one
+batched x-transform, forms the loss from the same columns as the gain
+and analyzes gain minus loss in one batched x-transform; ``collide`` is
+its one-slice case.
 """
 
 from __future__ import annotations
@@ -148,24 +148,8 @@ def _padded_count(n_modes: int, dealias: bool) -> int:
     return m + (m % 2)
 
 
-def _collision_x_sizes(grid: GridSpec, fields, dealias: bool) -> tuple:
-    """Per-axis sizes of the padded x-grid on which the collision of
-    ``fields`` (arrays of grid.shape) is evaluated: the padded count on
-    an axis where some coefficient with n_a != 0 is nonzero, 1 on an axis
-    along which every field is exactly invariant.  Q is local in x, so Q
-    of x_a-invariant data is x_a-invariant and one x-node carries it.
-    The test is exact: a nonzero coefficient of any size keeps its axis."""
-    m = _padded_count(grid.n_modes, dealias)
-    support = np.zeros(grid.mode_counts, dtype=bool)
-    for data in fields:
-        support |= np.any(data, axis=grid.v_axes)
-    return tuple(
-        m if np.delete(support, 0, axis=a).any() else 1 for a in range(grid.d)
-    )
-
-
 def _flatten_xv(grid: GridSpec, values: np.ndarray, m) -> np.ndarray:
-    """(x-grid of sizes m, P..v..) -> (P^d, prod sizes): one v-coefficient
+    """(x-grid of size m, P..v..) -> (P^d, x-nodes): one v-coefficient
     column per x-node."""
     x_size, v_size = math.prod(_x_sizes(grid, m)), grid.v_points**grid.d
     return values.reshape(x_size, v_size).T
@@ -321,19 +305,18 @@ def gain_bobylev(
 
     Per x-node, evaluates ``sum_j w_j ftil(xi_plus_j) gtil(xi_minus_j)``
     on the xi-grid by exact off-grid trigonometric sums, then transforms
-    back to the (n, v) representation.  The x-grid is sized by
-    _collision_x_sizes on f and g together.
+    back to the (n, v) representation.
     """
     _check_same_grid(f, g)
     grid = f.grid
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
     same = g is f or np.array_equal(g.data, f.data)
-    sizes = _collision_x_sizes(grid, (f.data, g.data), dealias)
-    fv = _flatten_xv(grid, x_synthesize(f, sizes), sizes)
-    gv = fv if same else _flatten_xv(grid, x_synthesize(g, sizes), sizes)
+    m = _padded_count(grid.n_modes, dealias)
+    fv = _flatten_xv(grid, x_synthesize(f, m), m)
+    gv = fv if same else _flatten_xv(grid, x_synthesize(g, m), m)
     gain_v = _gain_columns(grid, quad, fv, gv)
-    return x_analyze(grid, _unflatten_xv(grid, gain_v, sizes), sizes)
+    return x_analyze(grid, _unflatten_xv(grid, gain_v, m), m)
 
 
 def collide_trajectory(
@@ -342,7 +325,6 @@ def collide_trajectory(
     quad: SphereQuadrature,
     dealias: bool = True,
     active=None,
-    sizes=None,
 ) -> np.ndarray:
     """Q(f_j, f_j) = gain - loss for a stack of fields, shape (S,) + grid.shape.
 
@@ -354,16 +336,14 @@ def collide_trajectory(
     area * f(x, v) * dv^d sum_u f(x, u) with area the quadrature's total
     weight, comes from the same synthesized columns.
 
-    The padded x-grid is sized per axis from the active slices
-    (_collision_x_sizes; a caller that has computed them passes
-    ``sizes``): an axis along which every active slice is exactly
-    invariant gets one x-node, so x-1D data on the 12x12 grid of
-    n_modes = 8 cost 12 gain columns per slice, not 144.
+    The padded x-grid follows the grid's mode counts: on the (8, 1)
+    support grid of x_1-only data with n_modes = 8, each slice costs 12
+    gain columns, not the 144 of the full 12x12 grid.
     """
-    return _collide_stack(stack, grid, quad, dealias, active, sizes)
+    return _collide_stack(stack, grid, quad, dealias, active)
 
 
-def _collide_stack(stack, grid, quad, dealias, active, sizes):
+def _collide_stack(stack, grid, quad, dealias, active):
     """Body of :func:`collide_trajectory`, shared with :func:`collide`."""
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
@@ -372,9 +352,7 @@ def _collide_stack(stack, grid, quad, dealias, active, sizes):
     idx = np.flatnonzero(active)
     if idx.size == 0:
         return np.zeros_like(stack)
-    if sizes is None:
-        sizes = _collision_x_sizes(grid, (stack[j] for j in idx), dealias)
-    sizes = _x_sizes(grid, sizes)
+    sizes = _x_sizes(grid, _padded_count(grid.n_modes, dealias))
     n_v = grid.v_points**grid.d
     # one column of v-coefficients per (slice, x-node), C-contiguous: the
     # loss's column sums below are taken in that layout, which fixes their
@@ -402,20 +380,19 @@ def loss_bobylev(
     """Loss term: area * f(x, v) * (discrete integral of g(x, .) dv).
 
     ``area`` defaults to the full sphere measure; pass the total weight of
-    a quadrature to keep gain and loss on the same angular measure.  The
-    x-grid is sized by _collision_x_sizes on f and g together.
+    a quadrature to keep gain and loss on the same angular measure.
     """
     _check_same_grid(f, g)
     grid = f.grid
     same = g is f or np.array_equal(g.data, f.data)
-    sizes = _collision_x_sizes(grid, (f.data, g.data), dealias)
-    fx = x_synthesize(f, sizes)
-    gx = fx if same else x_synthesize(g, sizes)
+    m = _padded_count(grid.n_modes, dealias)
+    fx = x_synthesize(f, m)
+    gx = fx if same else x_synthesize(g, m)
     g0 = grid.dv**grid.d * gx.sum(axis=tuple(range(grid.d, 2 * grid.d)))
     if area is None:
         area = sphere_area(grid.d)
     values = area * fx * g0[(...,) + (None,) * grid.d]
-    return x_analyze(grid, values, sizes)
+    return x_analyze(grid, values, m)
 
 
 def _interp_matrix(grid: GridSpec, points: np.ndarray) -> sparse.csr_matrix:
@@ -512,7 +489,7 @@ def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> Phas
     that gain and loss cancel exactly at xi = 0 (discrete mass
     conservation) for any weighting, including zeroed weights.
     """
-    q = _collide_stack(f.data[None], f.grid, quad, dealias, None, None)
+    q = _collide_stack(f.data[None], f.grid, quad, dealias, None)
     return PhaseField(f.grid, q[0])
 
 

@@ -7,9 +7,13 @@ rounding); see :mod:`kflab.conventions` for the normalization sheet.
 
 A grid stores n_modes x-modes on every axis, or fewer on some: an axis
 with mode count 1 holds the n_a = 0 slab alone, which is all that data
-exactly invariant along x_a carry.  ``restrict_modes`` moves a field or
-trajectory onto such a grid (a nonzero dropped mode is a ValueError) and
+exactly invariant along x_a carry.  The grid's mode counts are the only
+statement of x-support.  ``restrict_modes`` moves a field or trajectory
+onto such a grid, by default onto its data's own support
+(``_mode_support``; a nonzero dropped mode is a ValueError), and
 ``embed_modes`` moves it back, with zeros in the modes it left out.
+The x-transform pair works on the grid's x-grid, an axis of count 1
+having one x-node; a padded size applies to every other axis.
 """
 
 from __future__ import annotations
@@ -212,48 +216,31 @@ def make_grid(d: int, n_modes: int, v_extent: float, v_points: int) -> GridSpec:
 
 
 def _x_sizes(grid: GridSpec, m) -> tuple:
-    """Per-axis x-grid sizes from ``m``: None (the grid's mode counts), an
-    int, or a sequence of d sizes, each 1 or at least the axis's mode
-    count."""
-    m = grid.mode_counts if m is None else m
-    sizes = (int(m),) * grid.d if np.ndim(m) == 0 else tuple(int(s) for s in m)
-    if len(sizes) != grid.d or any(
-        s != 1 and s < c for s, c in zip(sizes, grid.mode_counts)
-    ):
-        raise ValueError(
-            f"x-grid sizes {sizes} need d={grid.d} entries, each 1 or >= "
-            f"the mode counts {grid.mode_counts}"
-        )
-    return sizes
+    """Per-axis x-grid sizes from ``m``: None (the grid's mode counts) or
+    one int >= n_modes, the size of every axis of count > 1; an axis of
+    count 1 keeps size 1."""
+    if m is None:
+        return grid.mode_counts
+    if np.ndim(m) != 0 or int(m) < grid.n_modes:
+        raise ValueError(f"x-grid size {m!r} must be one int >= n_modes = {grid.n_modes}")
+    return tuple(int(m) if c > 1 else 1 for c in grid.mode_counts)
 
 
-def _embed_indices(grid: GridSpec, m) -> tuple:
-    """(kept, slots) for the x-grid of sizes ``m``: per axis, the stored
-    mode indices that live on it and their FFT-order index there.  An
-    axis of size > 1 keeps every stored mode, the Nyquist slot (labelled
-    +n_modes/2) going to +n_modes/2; a size-1 axis keeps the n_a = 0 slot
-    alone."""
-    sizes = _x_sizes(grid, m)
-    kept = [np.arange(c if size > 1 else 1) for c, size in zip(grid.mode_counts, sizes)]
-    return kept, [grid.modes_1d[k] % size for k, size in zip(kept, sizes)]
+def _slots(grid: GridSpec, sizes: tuple) -> list:
+    """Per axis, the FFT-order index of each stored mode on the x-grid of
+    ``sizes``: the Nyquist slot (labelled +n_modes/2) goes to
+    +n_modes/2, and a count-1 axis keeps its n_a = 0 slot."""
+    return [grid.modes_1d[:c] % size for c, size in zip(grid.mode_counts, sizes)]
 
 
 def _onto_x_grid(grid: GridSpec, data: np.ndarray, sizes: tuple) -> np.ndarray:
     """The coefficients ``data`` (trailing axes grid.shape, any leading
-    axes) at their slots on the x-grid of ``sizes``, zeros elsewhere.
-    Dropping a nonzero coefficient is a ValueError; only the dropped
-    modes are scanned."""
+    axes) at their slots on the x-grid of ``sizes``, zeros elsewhere."""
     if sizes == grid.mode_counts:
         return data
-    kept, slots = _embed_indices(grid, sizes)
     lead = data.ndim - 2 * grid.d
-    for a, (k, c) in enumerate(zip(kept, grid.mode_counts)):
-        if k.size < c and data[(slice(None),) * (lead + a) + (slice(k.size, None),)].any():
-            raise ValueError(f"x-grid sizes {sizes} would drop nonzero modes")
-    idx = (slice(None),) * lead
     big = np.zeros(data.shape[:lead] + sizes + (grid.v_points,) * grid.d, dtype=np.complex128)
-    # the kept modes are a prefix of each axis: a view, not a gathered copy
-    big[idx + np.ix_(*slots)] = data[idx + tuple(slice(k.size) for k in kept)]
+    big[(slice(None),) * lead + np.ix_(*_slots(grid, sizes))] = data
     return big
 
 
@@ -262,12 +249,8 @@ def _from_x_grid(grid: GridSpec, coeffs: np.ndarray, sizes: tuple) -> np.ndarray
     ``coeffs`` (any leading axes), every other coefficient truncated."""
     if sizes == grid.mode_counts:
         return coeffs
-    kept, slots = _embed_indices(grid, sizes)
     lead = coeffs.ndim - 2 * grid.d
-    idx = (slice(None),) * lead
-    out = np.zeros(coeffs.shape[:lead] + grid.shape, dtype=np.complex128)
-    out[idx + np.ix_(*kept)] = coeffs[idx + np.ix_(*slots)]
-    return out
+    return coeffs[(slice(None),) * lead + np.ix_(*_slots(grid, sizes))]
 
 
 def _x_values(grid: GridSpec, data: np.ndarray, sizes: tuple) -> np.ndarray:
@@ -296,36 +279,54 @@ def _x_coeffs(grid: GridSpec, values: np.ndarray, sizes: tuple) -> np.ndarray:
 
 
 def x_synthesize(fld: PhaseField, m=None) -> np.ndarray:
-    """Values f(x, v) on the x-grid of sizes ``m`` (an int for every axis,
-    or one size per axis; the mode counts by default), shape sizes +
-    (P,)*d: the stored modes are embedded at their labels with zeros
-    elsewhere (a size above the mode count zero-pads for dealiased
-    products), then inverse x-DFT per fixed v.
-
-    A size of 1 on axis a takes the n_a = 0 slab alone, so the values are
-    constant along x_a; a nonzero coefficient with n_a != 0 is then a
-    ValueError, since it would be dropped."""
+    """Values f(x, v) on the x-grid of size ``m`` (the mode counts by
+    default; an int >= n_modes zero-pads every axis of count > 1 for
+    dealiased products), shape sizes + (P,)*d: the stored modes are
+    embedded at their labels with zeros elsewhere, then inverse x-DFT per
+    fixed v.  An axis of count 1 has one x-node: the values are constant
+    along it."""
     return _x_values(fld.grid, fld.data, _x_sizes(fld.grid, m))
 
 
 def x_analyze(grid: GridSpec, values: np.ndarray, m=None) -> PhaseField:
-    """Inverse of x_synthesize on the x-grid of sizes ``m``, followed by
-    truncation to the stored modes.  On a size-1 axis the values are
-    constant along x_a: they give the n_a = 0 slab, and every n_a != 0
-    coefficient is an exact zero."""
+    """Inverse of x_synthesize on the x-grid of size ``m``, followed by
+    truncation to the stored modes."""
     sizes = _x_sizes(grid, m)
     if values.shape != sizes + (grid.v_points,) * grid.d:
         raise ValueError(f"values shape {values.shape} does not match grid")
     return PhaseField(grid, _x_coeffs(grid, values, sizes))
 
 
-def restrict_modes(obj, mode_counts):
+def _mode_support(grid: GridSpec, data: np.ndarray) -> tuple:
+    """Per-axis mode counts of the x-support of ``data`` (trailing axes
+    grid.shape, any leading axes): n_modes on an axis where some
+    coefficient with n_a != 0 is nonzero, 1 on an axis along which the
+    data are exactly invariant.  The test is exact: a nonzero coefficient
+    of any size keeps its axis.  Q is local in x and the free flow is
+    diagonal in n, so data invariant along x_a stay so under the
+    equation, and one x_a-mode carries them."""
+    lead = data.ndim - 2 * grid.d
+    support = np.any(data, axis=tuple(range(lead)) + tuple(lead + a for a in grid.v_axes))
+    return tuple(
+        grid.n_modes if np.delete(support, 0, axis=a).any() else 1 for a in range(grid.d)
+    )
+
+
+def restrict_modes(obj, mode_counts=None):
     """``obj`` (a PhaseField or Trajectory) on its grid with the given
-    per-axis mode counts, each n_modes or 1.  An axis of count 1 keeps
-    the n_a = 0 slab alone; a nonzero coefficient there with n_a != 0 is
-    a ValueError, so restriction never loses data."""
-    sub = replace(obj.grid, mode_counts=mode_counts)
-    return replace(obj, grid=sub, data=_onto_x_grid(obj.grid, obj.data, sub.mode_counts))
+    per-axis mode counts, each n_modes or 1; None takes the data's own
+    x-support (_mode_support).  An axis of count 1 keeps the n_a = 0 slab
+    alone; a nonzero coefficient there with n_a != 0 is a ValueError, so
+    restriction never loses data."""
+    grid, data = obj.grid, obj.data
+    counts = _mode_support(grid, data) if mode_counts is None else mode_counts
+    sub = replace(grid, mode_counts=counts)
+    lead = data.ndim - 2 * grid.d
+    for a, c in enumerate(sub.mode_counts):
+        if data[(slice(None),) * (lead + a) + (slice(c, None),)].any():
+            raise ValueError(f"mode counts {sub.mode_counts} would drop nonzero modes")
+    kept = (slice(None),) * lead + tuple(slice(c) for c in sub.mode_counts)
+    return replace(obj, grid=sub, data=np.ascontiguousarray(data[kept]))
 
 
 def embed_modes(obj):
@@ -333,7 +334,12 @@ def embed_modes(obj):
     that its grid leaves out an exact zero: the inverse of
     restrict_modes."""
     full = replace(obj.grid, mode_counts=None)
-    return replace(obj, grid=full, data=_from_x_grid(full, obj.data, obj.grid.mode_counts))
+    data = obj.data
+    if not obj.grid.is_full:
+        lead = data.ndim - 2 * full.d
+        data = np.zeros(data.shape[:lead] + full.shape, dtype=np.complex128)
+        data[(slice(None),) * lead + tuple(slice(c) for c in obj.grid.mode_counts)] = obj.data
+    return replace(obj, grid=full, data=data)
 
 
 def _v_to_xi_axis_phases(grid: GridSpec) -> np.ndarray:

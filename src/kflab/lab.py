@@ -46,11 +46,11 @@ from .propagator import _free_flow
 from .reports import ExperimentReport
 from .trajectory import (
     Trajectory,
+    _tau_grid,
     _trapz_weights,
     duhamel_integral,
     make_trajectory,
     sample_free_evolution,
-    time_dft,
     time_idft,
 )
 
@@ -244,7 +244,7 @@ def _random_modulation_field(
     """Random trajectory synthesized directly on the (tau', n, v) grid,
     localized by Q_K and the (N, M) block (bandlimited by construction)."""
     carrier = make_trajectory(grid, t_half, n_samples)
-    tau, _ = time_dft(carrier)
+    tau = _tau_grid(n_samples, carrier.dt)
     rng = np.random.default_rng(seed)
     shape = (n_samples,) + grid.shape
     coeffs = _complex_normal(rng, shape)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import PhaseField
 from .lp import bump_psi
-from .trajectory import Trajectory, _trapz_weights, time_dft
+from .trajectory import Trajectory, _tau_grid, _trapz_weights, time_dft
 
 __all__ = [
     "NormParams",
@@ -81,21 +81,22 @@ def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:
     FFT) integrates it exactly.  Runs in the dtype of the input, which
     lab._free_l4_norm takes from its data: complex64 input stays single
     precision, the scan's speed; the quartic sum accumulates in float64.
-    Works one leading x-index at a time and pads one axis per FFT, so
-    temporaries are the size of one padded x-row.
+    Works one row at a time, a row being fixed indices on every x-axis
+    but the last, and pads one axis per FFT, so temporaries are the size
+    of one padded row (n_modes * (2 v_points)^d values) in any d.
     """
     from scipy import fft as sfft
 
     d, p = grid.d, grid.v_points
     dtype = np.complex64 if fld_data.dtype == np.complex64 else np.complex128
-    row_shape = fld_data.shape[1:d] + (2 * p,) * d
-    mag2 = np.empty(row_shape, dtype=np.finfo(dtype).dtype)
+    rows = fld_data.reshape((-1,) + fld_data.shape[d - 1 :])
+    mag2 = np.empty(rows.shape[1:2] + (2 * p,) * d, dtype=np.finfo(dtype).dtype)
     im2 = np.empty_like(mag2)
     flat = mag2.ravel()
     total = 0.0
-    for row in fld_data:
+    for row in rows:
         big = row.astype(dtype, copy=False)
-        for ax in reversed(range(d - 1, 2 * d - 1)):
+        for ax in reversed(range(1, d + 1)):
             big = sfft.fft(big, n=2 * p, axis=ax)
         np.multiply(big.real, big.real, out=mag2)
         np.multiply(big.imag, big.imag, out=im2)
@@ -165,7 +166,7 @@ def time_profile_hb(
     dt = 2.0 * t_half / (n - 1)
     w = np.sqrt(_trapz_weights(n, dt))
     coeffs = np.fft.fft(w * values) / np.sqrt(n)
-    tau = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+    tau = _tau_grid(n, dt)
     weight = np.abs(tau) ** (2.0 * b) if homogeneous else bracket(tau) ** (2.0 * b)
     return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
 

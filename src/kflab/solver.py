@@ -10,16 +10,14 @@ an auto-halving schedule realizing "T sufficiently small".
 
 The iteration runs on the data's mode support.  The free flow is
 diagonal in the x-mode n and Q is local in x, so data exactly
-x_a-invariant at t = 0 stay so for the whole solve.  ``duhamel_picard``
-therefore picks per-axis mode counts once from f0, by the collision's
-x-support rule (``_collision_x_sizes``): n_modes on an axis the data
-vary along, 1 on an invariant one.  It restricts f0 to that grid
-(``restrict_modes``), runs every sweep there and embeds the final
-trajectory back onto the full grid (``embed_modes``), so callers see
-full-grid trajectories only.  A classical
-4-stage one-step integrator in the interaction frame serves as an
-independent cross-check on |t| <= T, where the cutoffs are identically
-one and the fixed point solves the true equation.
+x_a-invariant at t = 0 stay so for the whole solve.  Both integrators
+therefore restrict f0 once to its x-support (``grid.restrict_modes``:
+n_modes on an axis the data vary along, 1 on an invariant one), run
+there, the collision included, and embed the result back onto the full
+grid (``embed_modes``), so callers see full-grid trajectories only.  A
+classical 4-stage one-step integrator in the interaction frame serves
+as an independent cross-check on |t| <= T, where the cutoffs are
+identically one and the fixed point solves the true equation.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ import numpy as np
 
 from .collision import (
     SphereQuadrature,
-    _collision_x_sizes,
     _gain_cache_path,
+    _padded_count,
     collide,
     collide_trajectory,
     moments,
@@ -40,6 +38,7 @@ from .collision import (
 from .grid import (
     GridSpec,
     PhaseField,
+    _x_sizes,
     conjugate_symmetry_defect,
     embed_modes,
     random_field,
@@ -78,9 +77,10 @@ POSITIVITY_THRESHOLD = 1e-6
 @dataclass(frozen=True)
 class SolverConfig:
     """Solve parameters: window half-width T (the cutoff scale; samples
-    cover [-2T, 2T]), sample spacing dt, sphere quadrature, Picard cap
-    and tolerance.  The norm exponents ``params`` follow from the grid
-    dimension (default_params); products in x are always dealiased."""
+    cover [-2T, 2T]), sample spacing dt, which must divide T, sphere
+    quadrature, Picard cap and tolerance.  The norm exponents ``params``
+    follow from the grid dimension (default_params); products in x are
+    always dealiased."""
 
     grid: GridSpec
     T: float
@@ -92,6 +92,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.dt <= self.T:
             raise ValueError("need 0 < dt <= T")
+        steps = self.T / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"dt={self.dt} does not divide T={self.T} (T/dt = {steps:.6g})")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_picard < 1:
@@ -100,11 +103,6 @@ class SolverConfig:
     @property
     def params(self) -> NormParams:
         return default_params(self.grid.d)
-
-
-def _window_samples(T: float, dt: float) -> int:
-    n = int(round(4.0 * T / dt)) + 1
-    return n if n % 2 else n + 1
 
 
 @dataclass
@@ -118,7 +116,7 @@ class IterationReport:
     t_final: float = 0.0
     realness_defect: float = 0.0
     message: str = ""
-    # per-axis x-grid sizes of the final sweep's collision
+    # per-axis sizes of the collision's padded x-grid
     collision_x_sizes: list = field(default_factory=list)
     # one {sweep, ratio, threshold, T} record per halving, in order
     halvings_reasons: list = field(default_factory=list)
@@ -182,7 +180,8 @@ def maxwellian_perturbed(grid: GridSpec, eps: float = 0.0, mode=None) -> PhaseFi
 
 def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
     g = f0.grid
-    n_samples = _window_samples(T, dt)
+    # dt divides T (SolverConfig), so the count is odd and t = 0 a sample
+    n_samples = int(round(4.0 * T / dt)) + 1
     free = sample_free_evolution(f0, 2.0 * T, n_samples)
     times = free.times
     psi = bump_psi(times)
@@ -191,15 +190,14 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
     linear = psi[ext] * free.data
 
     report = IterationReport(t_final=T, realness_defect=conjugate_symmetry_defect(f0))
+    report.collision_x_sizes = list(_x_sizes(g, _padded_count(g.n_modes, True)))
     cur = Trajectory(g, 2.0 * T, linear.copy(), cutoff="psi")
     halve = None
     for k in range(config.max_picard):
         t_sweep = time.perf_counter()
         active = (psi_t != 0.0) & np.any(cur.data.reshape(n_samples, -1), axis=1)
-        sizes = _collision_x_sizes(g, (cur.data[j] for j in np.flatnonzero(active)), True)
-        report.collision_x_sizes = list(sizes)
         report.gain_cache.append(_gain_cache_path(g, config.quad))
-        q_all = collide_trajectory(cur.data, g, config.quad, active=active, sizes=sizes)
+        q_all = collide_trajectory(cur.data, g, config.quad, active=active)
         forcing = Trajectory(g, 2.0 * T, psi_t[ext] * q_all)
         dh = duhamel_integral(forcing)
         new = Trajectory(g, 2.0 * T, linear + psi[ext] * dh.data, cutoff="psi")
@@ -230,11 +228,9 @@ def duhamel_picard(f0: PhaseField, config: SolverConfig):
     records why; non-convergence at the cap is flagged in the report,
     not raised."""
     T, dt = config.T, config.dt
-    # the collision's x-support rule: an axis along which f0 is exactly
-    # invariant stores n_a = 0 alone, and the solution stays invariant
-    sizes = _collision_x_sizes(f0.grid, [f0.data], True)
-    counts = tuple(f0.grid.n_modes if s > 1 else 1 for s in sizes)
-    f0 = restrict_modes(f0, counts)
+    # an axis along which f0 is exactly invariant stores n_a = 0 alone,
+    # and the solution stays invariant
+    f0 = restrict_modes(f0)
     reasons = []
     while True:
         traj, report, halve = _picard_once(f0, config, T, dt)
@@ -246,7 +242,7 @@ def duhamel_picard(f0: PhaseField, config: SolverConfig):
         report.halvings = len(reasons)
         report.halvings_reasons = reasons
         report.t_final = T
-        report.solve_mode_counts = list(counts)
+        report.solve_mode_counts = list(f0.grid.mode_counts)
         if halve is not None:
             report.message = "contraction not achieved after max halvings"
         return embed_modes(traj), report
@@ -255,7 +251,10 @@ def duhamel_picard(f0: PhaseField, config: SolverConfig):
 def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Trajectory:
     """Cross-check integrator on [-T, T]: solves g' = S(-t) Q(S(t)g)
     with the classical 4-stage one-step method, g = S(-t) f, and maps
-    back to the lab frame.  Rejects a step if the state norm doubles."""
+    back to the lab frame.  Runs on f0's mode support, as duhamel_picard
+    does, and returns the trajectory on f0's full grid.  Rejects a step
+    if the state norm doubles."""
+    f0 = restrict_modes(f0)
     g = f0.grid
     quad = config.quad
     T, dt = config.T, config.dt
@@ -287,7 +286,7 @@ def integrate_interaction_picture(f0: PhaseField, config: SolverConfig) -> Traje
                     f"step rejected at t={t:.4g}: state norm doubled within one step"
                 )
             data[j + direction] = state
-    return Trajectory(g, T, _free_flow(data, g, times, out=data))
+    return embed_modes(Trajectory(g, T, _free_flow(data, g, times, out=data)))
 
 
 def sup_l2_difference(a: Trajectory, b: Trajectory) -> float:

@@ -100,6 +100,11 @@ def _trapz_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
+def _tau_grid(n: int, dt: float) -> np.ndarray:
+    """The tau-grid of the time-DFT of n samples spaced dt, FFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+
+
 def time_dft(traj: Trajectory) -> tuple:
     """Demodulated weighted time-DFT.
 
@@ -112,8 +117,7 @@ def time_dft(traj: Trajectory) -> tuple:
     ext = (...,) + (None,) * (2 * g.d)
     u = w[ext] * _free_flow(traj.data, g, -traj.times)
     big = np.fft.fft(u, axis=0) / np.sqrt(traj.n_samples)
-    tau = 2.0 * np.pi * np.fft.fftfreq(traj.n_samples, d=traj.dt)
-    return tau, big
+    return _tau_grid(traj.n_samples, traj.dt), big
 
 
 def time_idft(traj: Trajectory, coeffs: np.ndarray) -> Trajectory:

@@ -76,6 +76,14 @@ def test_simulate_rejects_stride_below_one(stride, tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+def test_simulate_rejects_dt_not_dividing_t(tmp_path, capsys):
+    out = tmp_path / "sim"
+    argv = [a if not a.startswith("dt=") else "dt=0.03" for a in _simulate_args(out)]
+    assert run(argv) == 1
+    assert "dt=0.03 does not divide T=0.0625" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exit_1(tmp_path, capsys):
     code = run(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1

@@ -398,13 +398,13 @@ def _per_slice_x_work(stack, g, quad, active):
     active slice synthesized, its loss taken and its columns analyzed on
     their own, around one gain call on all the columns."""
     from kflab import x_analyze, x_synthesize
-    from kflab.collision import _collision_x_sizes, _flatten_xv, _gain_columns, _unflatten_xv
+    from kflab.collision import _flatten_xv, _gain_columns, _padded_count, _unflatten_xv
 
     idx = np.flatnonzero(active)
-    sizes = _collision_x_sizes(g, [stack[j] for j in idx], True)
+    m = _padded_count(g.n_modes, True)
     # C-contiguous (P^d, columns), the layout whose column sums the loss takes
     cols = np.ascontiguousarray(np.concatenate(
-        [_flatten_xv(g, x_synthesize(PhaseField(g, stack[j]), sizes), sizes) for j in idx],
+        [_flatten_xv(g, x_synthesize(PhaseField(g, stack[j]), m), m) for j in idx],
         axis=1,
     ))
     q_v = _gain_columns(g, quad, cols, cols)
@@ -414,7 +414,7 @@ def _per_slice_x_work(stack, g, quad, active):
         sl = slice(pos * n_x, (pos + 1) * n_x)
         mass = g.dv**g.d * cols[:, sl].sum(axis=0)
         q_v[:, sl] -= cols[:, sl] * (float(np.sum(quad.weights)) * mass)
-        out[j] = x_analyze(g, _unflatten_xv(g, q_v[:, sl], sizes), sizes).data
+        out[j] = x_analyze(g, _unflatten_xv(g, q_v[:, sl], m), m).data
     return out
 
 
@@ -451,8 +451,9 @@ def test_collide_trajectory_batch_is_the_per_slice_collide(d, n_modes, v_points,
 
 
 # ---------------------------------------------------------------------------
-# The x-support rule: an axis along which the data are exactly invariant
-# is collided on one x-node; the full padded grid is the reference.
+# The x-support rule: data exactly invariant along x_a, restricted to
+# their support grid (restrict_modes), collide on one x_a-node; the full
+# padded grid is the reference.
 
 
 def _full_grid_collision(f, quad):
@@ -492,15 +493,19 @@ def _x_invariant_case(d, flat_axes, seed):
     [(2, (1,), (6, 1)), (2, (0, 1), (1, 1)), (3, (2,), (6, 6, 1)), (3, (1, 2), (6, 1, 1))],
 )
 def test_collision_x_support_matches_full_grid(d, flat_axes, sizes):
-    from kflab.collision import _collision_x_sizes, collide_trajectory
+    from kflab import embed_modes, restrict_modes
+    from kflab.collision import _padded_count, collide_trajectory
+    from kflab.grid import _x_sizes
 
     f = _x_invariant_case(d, flat_axes, 23)
     quad = sphere_quadrature(d, 16 if d == 2 else 8)
-    assert _collision_x_sizes(f.grid, [f.data], True) == sizes
+    sub = restrict_modes(f)
+    assert _x_sizes(sub.grid, _padded_count(f.grid.n_modes, True)) == sizes
     gain_ref, q_ref = _full_grid_collision(f, quad)
     scale = np.max(np.abs(gain_ref))
-    gain = gain_bobylev(f, f, quad).data
-    q = collide_trajectory(f.data[None], f.grid, quad)[0]
+    gain = embed_modes(gain_bobylev(sub, sub, quad)).data
+    q_sub = collide_trajectory(sub.data[None], sub.grid, quad)[0]
+    q = embed_modes(PhaseField(sub.grid, q_sub)).data
     assert np.max(np.abs(gain - gain_ref)) <= 1e-13 * scale
     assert np.max(np.abs(q - q_ref)) <= 1e-13 * scale
     # Q of x_a-invariant data is x_a-invariant: exact zeros off the slab
@@ -522,6 +527,7 @@ def _spy_columns(monkeypatch):
 
 
 def test_collision_columns_follow_x_support(monkeypatch):
+    from kflab import Trajectory, restrict_modes
     from kflab.collision import collide_trajectory
 
     g = make_grid(d=2, n_modes=8, v_points=8, v_extent=6.0)
@@ -530,26 +536,34 @@ def test_collision_columns_follow_x_support(monkeypatch):
     rng = np.random.default_rng(24)
     stack = np.zeros((3,) + g.shape, dtype=np.complex128)
     stack[:, :, 0] = rng.standard_normal((3, g.n_modes) + (g.v_points,) * 2)
-    collide_trajectory(stack, g, quad)
+    sub = restrict_modes(Trajectory(g, 1.0, stack))
+    assert sub.grid.mode_counts == (8, 1)
+    collide_trajectory(sub.data, sub.grid, quad)
     assert counts == [3 * 12]
     # one tiny coefficient off the n_2 = 0 slab keeps the full grid
     stack[1, 2, 5, 3, 3] = 1e-300
-    collide_trajectory(stack, g, quad)
+    sub = restrict_modes(Trajectory(g, 1.0, stack))
+    assert sub.grid.mode_counts == (8, 8)
+    collide_trajectory(sub.data, sub.grid, quad)
     assert counts[-1] == 3 * 144
-    # gain and loss size the grid on f and g together
-    f, h = PhaseField(g, stack[0]), PhaseField(g, stack[1])
+    # gain and loss collide on the grid of their arguments: the support
+    # grid of f, and the full grid for x_2-invariant data left on it
+    f = restrict_modes(PhaseField(g, stack[0]))
     gain_bobylev(f, f, quad)
     assert counts[-1] == 12
-    gain_bobylev(f, h, quad)
+    gain_bobylev(PhaseField(g, stack[0]), PhaseField(g, stack[1]), quad)
     assert counts[-1] == 144
 
 
 def test_d3_x1_data_collide_on_one_x_axis(monkeypatch):
-    from kflab.collision import _collision_x_sizes
+    from kflab import restrict_modes
+    from kflab.collision import _padded_count
+    from kflab.grid import _x_sizes
 
     g = make_grid(d=3, n_modes=4, v_points=8, v_extent=6.0)
-    f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0, 0))
-    assert _collision_x_sizes(g, [f0.data], True) == (6, 1, 1)
+    f0 = restrict_modes(maxwellian_perturbed(g, eps=0.1, mode=(1, 0, 0)))
+    assert f0.grid.mode_counts == (4, 1, 1)
+    assert _x_sizes(f0.grid, _padded_count(g.n_modes, True)) == (6, 1, 1)
     counts = _spy_columns(monkeypatch)
     collide(f0, sphere_quadrature(3, 8))
     assert counts == [6]

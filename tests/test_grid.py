@@ -25,6 +25,7 @@ from kflab import (
     xi_to_v,
 )
 from kflab.collision import _padded_count
+from kflab.grid import _mode_support
 
 
 def test_make_grid_spacing():
@@ -120,33 +121,43 @@ def _invariant_along(fld, axes):
 @pytest.mark.parametrize("d, sizes", [(2, (6, 1)), (2, (1, 6)), (2, (1, 1)),
                                       (3, (6, 1, 6)), (3, (1, 4, 1)), (3, (6, 6, 6))])
 def test_x_roundtrip_per_axis_sizes(d, sizes):
-    # a size-1 axis carries the n_a = 0 slab alone: the synthesis is
-    # constant along it, and analysis writes exact zeros for n_a != 0
+    # on a support grid an axis of count 1 has one x-node: the synthesis
+    # is constant along it, and analysis writes exact zeros for n_a != 0;
+    # the size m applies to every other axis
     g = make_grid(d=d, n_modes=4, v_points=4, v_extent=2.0)
     flat = [a for a in range(d) if sizes[a] == 1]
     fld = _invariant_along(random_field(g, seed=20 + d), flat)
-    vals = x_synthesize(fld, sizes)
+    sub = restrict_modes(fld, tuple(1 if s == 1 else 4 for s in sizes))
+    m = max(sizes + (4,))
+    vals = x_synthesize(sub, m)
     assert vals.shape == sizes + (g.v_points,) * d
-    full = x_synthesize(fld, [4 if s == 1 else s for s in sizes])
+    full = x_synthesize(fld, m)
     for a in flat:
         assert np.max(np.abs(full - np.take(vals, [0], axis=a))) <= 1e-14
-    back = x_analyze(g, vals, sizes)
+    back = embed_modes(x_analyze(sub.grid, vals, m))
     assert np.max(np.abs(back.data - fld.data)) <= 1e-14
     assert not np.any(back.data[fld.data == 0])
 
 
 def test_x_synthesize_size_one_rejects_dropped_mode():
+    # the x-grid follows the mode counts, so restriction is where a
+    # nonzero mode off the n_a = 0 slab is refused
     g = make_grid(d=2, n_modes=4, v_points=4, v_extent=2.0)
     fld = _invariant_along(random_field(g, seed=30), [1])
-    x_synthesize(fld, (6, 1))
+    sub = restrict_modes(fld, (4, 1))
+    assert x_synthesize(sub, 6).shape == (6, 1, 4, 4)
     fld.data[1, 3, 0, 0] = 1e-300
-    for sizes in ((6, 1), (1, 6)):
+    for counts in ((4, 1), (1, 4)):
         with pytest.raises(ValueError, match="would drop nonzero modes"):
-            x_synthesize(fld, sizes)
-    # sizes must be d entries, each 1 or at least n_modes
-    for bad in ((6,), (6, 2), (6, 6, 6)):
-        with pytest.raises(ValueError, match="x-grid sizes"):
-            x_synthesize(fld, bad)
+            restrict_modes(fld, counts)
+    # the size is None or one int >= n_modes: a per-axis tuple or a
+    # smaller int is refused by both halves of the pair
+    values = np.zeros((6, 1, 4, 4), dtype=np.complex128)
+    for bad in ((6, 1), (6,), (6, 6), 2, 3):
+        with pytest.raises(ValueError, match="x-grid size"):
+            x_synthesize(sub, bad)
+        with pytest.raises(ValueError, match="x-grid size"):
+            x_analyze(sub.grid, values, bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,12 +167,15 @@ def test_x_synthesize_size_one_rejects_dropped_mode():
 def test_restrict_then_embed_is_the_identity(d, n_modes, flags, seed, draw):
     # data confined to a per-axis support (n_a = 0 alone on each flat
     # axis) restrict losslessly and embed back to the same array, alone
-    # or with a leading time axis; a nonzero coefficient off the support
-    # makes restriction a ValueError
+    # or with a leading time axis.  The support rule gives n_modes on
+    # exactly the axes with a nonzero n_a != 0 coefficient, however
+    # small; a nonzero coefficient off a given support makes restriction
+    # to it a ValueError
     g = make_grid(d=d, n_modes=n_modes, v_points=2, v_extent=1.0)
     flat = [a for a in range(d) if flags[a]]
     counts = tuple(1 if a in flat else n_modes for a in range(d))
     fld = _invariant_along(random_field(g, seed=seed), flat)
+    assert _mode_support(g, fld.data) == counts
     sub = restrict_modes(fld, counts)
     assert sub.grid.mode_counts == counts
     assert sub.data.shape == counts + (2,) * d
@@ -170,6 +184,7 @@ def test_restrict_then_embed_is_the_identity(d, n_modes, flags, seed, draw):
     assert np.array_equal(back.data, fld.data)
     traj = Trajectory(g, 1.0, np.stack([fld.data, 2.0 * fld.data]))
     assert np.array_equal(embed_modes(restrict_modes(traj, counts)).data, traj.data)
+    assert restrict_modes(traj).grid.mode_counts == counts
     if flat:
         a = draw.draw(st.sampled_from(flat))
         idx = [draw.draw(st.integers(0, c - 1)) for c in g.shape]
@@ -177,6 +192,9 @@ def test_restrict_then_embed_is_the_identity(d, n_modes, flags, seed, draw):
         fld.data[tuple(idx)] = 1e-300
         with pytest.raises(ValueError, match="would drop nonzero modes"):
             restrict_modes(fld, counts)
+        support = tuple(n_modes if c > 1 or idx[b] else 1 for b, c in enumerate(counts))
+        assert _mode_support(g, fld.data) == support
+        assert np.array_equal(embed_modes(restrict_modes(fld)).data, fld.data)
 
 
 def test_v_to_xi_gaussian_analytic():

@@ -25,6 +25,7 @@ from kflab import (
     strichartz_scan,
 )
 from kflab.lab import _free_l4_norm
+from kflab.norms import _slice_l4_xi_4
 from kflab.propagator import _nv_dot
 from kflab.trajectory import _trapz_weights
 
@@ -141,6 +142,17 @@ def test_free_l4_norm_peak_memory():
     data = random_block_field(g, 8, 4, 0).data.astype(np.complex64)
     _free_l4_norm(g, data, 0.5, 3)  # warm-up
     assert _traced_peak(lambda: _free_l4_norm(g, data, 0.5, 3)) <= 1.6 * data.nbytes
+
+
+def test_slice_l4_d3_peak_memory():
+    # in d = 3 the quartic slice streams rows over every x-axis but the
+    # last, so its temporaries are a few padded rows; streaming over x_1
+    # alone held a padded x_1-slab, n_modes rows (20 rows here)
+    g = make_grid(d=3, n_modes=8, v_points=8, v_extent=4.0)
+    vals = random_field(g, 0).data.astype(np.complex64)
+    row = g.n_modes * (2 * g.v_points) ** g.d * vals.itemsize
+    _slice_l4_xi_4(vals, g)  # warm-up
+    assert _traced_peak(lambda: _slice_l4_xi_4(vals, g)) <= 3 * row
 
 
 def test_strichartz_gauge_identity():

@@ -183,6 +183,13 @@ def test_config_validation():
     g = _grid()
     with pytest.raises(ValueError):
         SolverConfig(grid=g, T=0.125, dt=0.25, quad=_QUAD, max_picard=12, tol=1e-10)
+    # a dt that does not divide T is refused, not resampled
+    with pytest.raises(ValueError, match=r"dt=0.03 does not divide T=0.125"):
+        SolverConfig(grid=g, T=0.125, dt=0.03, quad=_QUAD, max_picard=12, tol=1e-10)
+    # T/dt an integer to rounding passes, as a solved trajectory's dt does
+    traj = sample_free_evolution(maxwellian_perturbed(g), 0.1, 33)
+    for T, dt in ((0.125, 0.0078125), (0.3, 0.1), (0.1, traj.dt)):
+        assert SolverConfig(grid=g, T=T, dt=dt, quad=_QUAD, max_picard=1, tol=1e-10).dt == dt
 
 
 def test_maxwellian_perturbed_rejects_bad_mode(tmp_path, capsys):
@@ -205,9 +212,10 @@ def test_maxwellian_perturbed_rejects_bad_mode(tmp_path, capsys):
 
 
 def test_x_support_rule_keeps_the_solve(monkeypatch):
-    # the shipped solver settings on a small grid, collided on the data's
-    # x-support and on the full padded grid
-    from kflab import collision, solver
+    # the shipped solver settings on a small grid, solved on the data's
+    # x-support and on the full grid, by both integrators
+    from kflab import collision
+    from kflab import grid as grid_module
 
     g = make_grid(d=2, n_modes=4, v_points=8, v_extent=6.0)
     f0 = maxwellian_perturbed(g, eps=0.1, mode=(1, 0))
@@ -228,13 +236,28 @@ def test_x_support_rule_keeps_the_solve(monkeypatch):
     assert all(s > 0 for s in report.sweep_wall_s)
     assert report.to_dict()["sweep_wall_s"] == report.sweep_wall_s
 
-    def full(grid, fields, dealias):
-        return (collision._padded_count(grid.n_modes, dealias),) * grid.d
+    columns = []
+    gain_columns = collision._gain_columns
 
-    # one rule, one patch point: the full padded grid also turns the
-    # mode-support restriction of the solve off
-    for module in (collision, solver):
-        monkeypatch.setattr(module, "_collision_x_sizes", full)
+    def spy(grid, quad, fv, gv):
+        columns.append(fv.shape[1])
+        return gain_columns(grid, quad, fv, gv)
+
+    monkeypatch.setattr(collision, "_gain_columns", spy)
+    rk = integrate_interaction_picture(f0, config)
+    assert rk.grid == g and set(columns) == {6}
+
+    def full(grid, data):
+        return (grid.n_modes,) * grid.d
+
+    # one rule, one patch point: the full mode support turns the
+    # restriction of both solves off, and with it the one-node x_2-axis
+    monkeypatch.setattr(grid_module, "_mode_support", full)
+    columns.clear()
+    rk_ref = integrate_interaction_picture(f0, config)
+    assert set(columns) == {36}
+    assert rk_ref.grid == rk.grid and rk_ref.data.shape == rk.data.shape
+    assert np.max(np.abs(rk.data - rk_ref.data)) <= 1e-12 * np.max(np.abs(rk_ref.data))
     ref, ref_report = duhamel_picard(f0, config)
     assert ref_report.collision_x_sizes == [6, 6]
     assert ref_report.solve_mode_counts == [4, 4]
