@@ -27,7 +27,8 @@ every other axis the padded count.  Q is local in x, so it keeps data
 exactly invariant along x_a invariant; such data collide on one x_a-node
 once ``grid.restrict_modes`` has put them on their support grid.  The
 gain, the loss, the oracle and ``collide_trajectory`` share that
-x-grid.  ``collide_trajectory`` synthesizes every active slice in one
+x-grid; the oracle restricts its two arguments to their joint support
+itself.  ``collide_trajectory`` synthesizes every active slice in one
 batched x-transform, forms the loss from the same columns as the gain
 and analyzes gain minus loss in one batched x-transform; ``collide`` is
 its one-slice case.
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .conventions import sphere_area
 from .grid import (
@@ -50,10 +50,13 @@ from .grid import (
     _x_sizes,
     _x_values,
     _xi_to_v_inplace,
+    embed_modes,
+    restrict_modes,
     x_analyze,
     x_synthesize,
     xi_phase_matrix,
 )
+from .trajectory import Trajectory
 
 __all__ = [
     "SphereQuadrature",
@@ -395,30 +398,35 @@ def loss_bobylev(
     return x_analyze(grid, values, m)
 
 
-def _interp_matrix(grid: GridSpec, points: np.ndarray) -> sparse.csr_matrix:
-    """Multilinear interpolation on the v-grid as a sparse operator,
-    zero extension outside [-V, V)^d.  points: (npts, d)."""
+def _interp_matrix(grid: GridSpec, points: np.ndarray):
+    """Multilinear interpolation on the v-grid as a sparse CSR operator,
+    zero extension outside [-V, V)^d.  points: (npts, d).  scipy.sparse
+    is imported here, so that only the oracle loads it."""
+    from scipy import sparse
+
     d, p = grid.d, grid.v_points
-    rel = (points + grid.v_extent) / grid.dv
+    rel = ((points + grid.v_extent) / grid.dv).T
     lo = np.floor(rel).astype(np.int64)
     frac = rel - lo
+    # per axis, for the lower and the upper tap: index, weight, in the box
+    taps = [
+        [(idx, wgt.astype(np.float32), (idx >= 0) & (idx < p))
+         for idx, wgt in ((lo[i], 1.0 - frac[i]), (lo[i] + 1, frac[i]))]
+        for i in range(d)
+    ]
     npts = len(points)
     n_taps = 1 << d
     cols = np.empty((npts, n_taps), dtype=np.int32)
     vals = np.empty((npts, n_taps), dtype=np.float32)
     for corner in range(n_taps):
-        idx = np.empty((npts, d), dtype=np.int64)
-        wgt = np.ones(npts, dtype=np.float32)
+        flat, wgt, inside = 0, np.float32(1.0), True
         for i in range(d):
-            bit = (corner >> i) & 1
-            idx[:, i] = lo[:, i] + bit
-            wgt = wgt * (frac[:, i] if bit else 1.0 - frac[:, i]).astype(np.float32)
-        inside = np.all((idx >= 0) & (idx < p), axis=1)
-        flat = np.zeros(npts, dtype=np.int64)
-        for i in range(d):
-            flat = flat * p + idx[:, i]
+            idx, w, ok = taps[i][(corner >> i) & 1]
+            flat = flat * p + idx
+            wgt = wgt * w
+            inside = inside & ok
         # zero extension: out-of-box taps keep column 0 with weight 0
-        cols[:, corner] = np.where(inside, flat, 0).astype(np.int32)
+        cols[:, corner] = np.where(inside, flat, 0)
         vals[:, corner] = np.where(inside, wgt, np.float32(0.0))
     indptr = n_taps * np.arange(npts + 1, dtype=np.int64)
     return sparse.csr_matrix(
@@ -447,15 +455,26 @@ def gain_direct_oracle(
     interpolation operator serves both factors (the second with the
     (v, u) axes swapped).  Interpolation runs in single precision; the
     interpolation error dwarfs the rounding.
+
+    Q is local in x, so the oracle runs on the joint x-support of f and
+    g (one restrict_modes of the pair) and embeds its result: on
+    x_1-only data with n_modes = 8 it visits 8 x-nodes, not 64.
     """
     _check_same_grid(f, g)
-    grid = f.grid
-    if quad.d != grid.d:
+    if quad.d != f.grid.d:
         raise ValueError("quadrature dimension does not match grid")
-    m = _padded_count(grid.n_modes, dealias)
-    fv = _flatten_xv(grid, x_synthesize(f, m), m).astype(np.complex64)
     same = g is f or np.array_equal(g.data, f.data)
-    gv = fv if same else _flatten_xv(grid, x_synthesize(g, m), m).astype(np.complex64)
+    # f and g as one two-slice stack (its t_half is unused), so that one
+    # restrict_modes call takes their joint support
+    pair = restrict_modes(Trajectory(f.grid, 1.0, np.stack([f.data, g.data])))
+    grid = pair.grid
+    m = _padded_count(grid.n_modes, dealias)
+
+    def columns(data):
+        return _flatten_xv(grid, x_synthesize(PhaseField(grid, data), m), m).astype(np.complex64)
+
+    fv = columns(pair.data[0])
+    gv = fv if same else columns(pair.data[1])
 
     vv = grid.v_vectors()
     n_v, n_x = fv.shape
@@ -478,7 +497,7 @@ def gain_direct_oracle(
                 "vux,uvx->vx", f_star, g_vu
             )
     values = _unflatten_xv(grid, out, m)
-    return x_analyze(grid, values, m)
+    return restrict_modes(embed_modes(x_analyze(grid, values, m)), f.grid.mode_counts)
 
 
 def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> PhaseField:

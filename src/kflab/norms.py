@@ -82,24 +82,37 @@ def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:
     lab._free_l4_norm takes from its data: complex64 input stays single
     precision, the scan's speed; the quartic sum accumulates in float64.
     Works one row at a time, a row being fixed indices on every x-axis
-    but the last, and pads one axis per FFT, so temporaries are the size
-    of one padded row (n_modes * (2 v_points)^d values) in any d.
+    but the last, so temporaries are the size of one padded row
+    (n_modes * (2 v_points)^d values) in any d.
+
+    Each row goes into the leading P^d block of one zeroed padded buffer,
+    and the v-axes are transformed in place, last axis first, each over
+    the extent that is not yet all zero: the axis about to be transformed
+    gets its pad region re-zeroed, the later axes are full, the earlier
+    ones still hold only their first P entries.
     """
     from scipy import fft as sfft
 
     d, p = grid.d, grid.v_points
     dtype = np.complex64 if fld_data.dtype == np.complex64 else np.complex128
     rows = fld_data.reshape((-1,) + fld_data.shape[d - 1 :])
-    mag2 = np.empty(rows.shape[1:2] + (2 * p,) * d, dtype=np.finfo(dtype).dtype)
+    buf = np.zeros(rows.shape[1:2] + (2 * p,) * d, dtype=dtype)
+    lead = (slice(None),) + (slice(0, p),) * d
+    mag2 = np.empty(buf.shape, dtype=np.finfo(dtype).dtype)
     im2 = np.empty_like(mag2)
     flat = mag2.ravel()
     total = 0.0
     for row in rows:
-        big = row.astype(dtype, copy=False)
+        buf[lead] = row
         for ax in reversed(range(1, d + 1)):
-            big = sfft.fft(big, n=2 * p, axis=ax)
-        np.multiply(big.real, big.real, out=mag2)
-        np.multiply(big.imag, big.imag, out=im2)
+            buf[lead[:ax] + (slice(p, None),)] = 0
+            view = buf[lead[:ax]]
+            out = sfft.fft(view, axis=ax, overwrite_x=True)
+            # overwrite_x permits, but does not promise, an in-place result
+            if not np.shares_memory(out, view):
+                view[...] = out
+        np.multiply(buf.real, buf.real, out=mag2)
+        np.multiply(buf.imag, buf.imag, out=im2)
         mag2 += im2
         # einsum's dot product, not BLAS ddot: threaded ddot stalls when
         # another process holds the second core

@@ -5,6 +5,8 @@ import inspect
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,6 +235,29 @@ def keys_read(request, tmp_path_factory):
         code = run([experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment])
     assert code != 1, err.getvalue()
     return experiment, read
+
+
+def test_only_the_strichartz_fft_loads_scipy(tmp_path):
+    # a fresh interpreter: import kflab.cli, then the small simulate,
+    # counting-check and gain-check runs, load no scipy module; the
+    # Strichartz scan, run last, loads scipy.fft for its L4 kernels
+    runs = {name: _TINY_RUNS[name] for name in
+            ("simulate", "counting-check", "gain-check", "strichartz-scan")}
+    code = (
+        "import json, sys\n"
+        "import kflab.cli\n"
+        f"runs = json.loads({json.dumps(json.dumps(runs))})\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for name, args in runs.items():\n"
+        "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "    assert loaded == [], (name, loaded)\n"
+        "    assert kflab.cli.run([name, '--out-dir', out + '/' + name] + args) != 1, name\n"
+        "assert 'scipy.fft' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_key_read_is_accepted(keys_read):

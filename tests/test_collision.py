@@ -139,6 +139,51 @@ def test_oracle_pairs_match_per_node_sum():
     assert _rel(oracle.data, expected.data) <= 1e-6
 
 
+def _x_modes_field(grid, seed, axes):
+    """_random_nonneg plus a real n = +-1 mode pair on each axis in ``axes``."""
+    f = _random_nonneg(grid, seed)
+    base = f.data[(0,) * grid.d]
+    for a in axes:
+        idx = [0] * grid.d
+        idx[a] = 1
+        f.data[tuple(idx)] = 0.2 * base
+        idx[a] = -1 % grid.n_modes
+        f.data[tuple(idx)] = 0.2 * base
+    return f
+
+
+@pytest.mark.parametrize("f_axes, g_axes, nodes", [((0,), (0,), 8), ((0,), (), 8),
+                                                   ((0,), (1,), 64)],
+                         ids=["x1-same", "x1-and-n0", "x1-and-x2"])
+def test_oracle_on_the_joint_support_matches_the_full_grid(f_axes, g_axes, nodes, monkeypatch):
+    # the oracle runs on the joint x-support of f and g; with the support
+    # rule patched to the full grid it visits every x-node.  The
+    # interpolation is single precision.
+    from kflab import collision
+    from kflab import grid as grid_module
+
+    g = _grid(n_modes=8, v_points=12)
+    f = _x_modes_field(g, 8, f_axes)
+    h = f if g_axes == f_axes else _x_modes_field(g, 9, g_axes)
+    quad = sphere_quadrature(2, 8)
+    visited = []
+    synthesize = collision.x_synthesize
+
+    def spy(fld, m=None):
+        values = synthesize(fld, m)
+        visited.append(values.size // g.v_points**2)
+        return values
+
+    monkeypatch.setattr(collision, "x_synthesize", spy)
+    out = gain_direct_oracle(f, h, quad, dealias=False)
+    assert out.grid == g and set(visited) == {nodes}
+    monkeypatch.setattr(grid_module, "_mode_support", lambda grid, data: (grid.n_modes,) * 2)
+    visited.clear()
+    ref = gain_direct_oracle(f, h, quad, dealias=False)
+    assert set(visited) == {64}
+    assert _rel(out.data, ref.data) <= 1e-6
+
+
 def test_oracle_nonnegative_output():
     g = _grid(n_modes=2, v_points=16)
     f = _random_nonneg(g, 5)
