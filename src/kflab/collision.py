@@ -17,21 +17,22 @@ by a fixed row gather; the rows of M_k whose xi has a +P/2 component
 (-xi is not on the grid) are evaluated directly.  Columns go through in
 fixed blocks so the elementwise work stays in cache.
 
-Everything is evaluated per x-node; quadratic products in x are
-dealiased by zero-padded synthesis (3/2 rule), on by default, through
-the x-transform pair of :mod:`kflab.grid` at the padded size
-(``x_synthesize(f, m)``, ``x_analyze(grid, values, m)``), which also
-owns the Nyquist-slot convention.  The padded grid follows the grid's
-mode counts and reads no data: an axis of count 1 gets one x-node,
-every other axis the padded count.  Q is local in x, so it keeps data
-exactly invariant along x_a invariant; such data collide on one x_a-node
-once ``grid.restrict_modes`` has put them on their support grid.  The
-gain, the loss, the oracle and ``collide_trajectory`` share that
-x-grid; the oracle restricts its two arguments to their joint support
-itself.  ``collide_trajectory`` synthesizes every active slice in one
-batched x-transform, forms the loss from the same columns as the gain
-and analyzes gain minus loss in one batched x-transform; ``collide`` is
-its one-slice case.
+Everything is evaluated per x-node, on one x-path shared by the gain,
+the loss, the oracle and ``collide_trajectory``.  ``_padded_sizes`` is
+the one statement of the x-grid: quadratic products in x are dealiased
+by zero-padded synthesis (3/2 rule), on by default, on every axis of
+count n_modes, and an axis of count 1 gets one x-node; no data are read
+to size it.  ``_x_columns`` synthesizes coefficients onto that grid as
+C-contiguous columns (P^d, slices * x-nodes), through the x-transforms
+of :mod:`kflab.grid`, which own the Nyquist-slot convention, and
+``_x_from_columns`` analyzes columns back to the stored modes.  The loss
+is one formula on columns, ``_loss_columns``.  Q is local in x, so it
+keeps data exactly invariant along x_a invariant; such data collide on
+one x_a-node once ``grid.restrict_modes`` has put them on their support
+grid.  The oracle restricts its two arguments to their joint support
+itself.  ``collide_trajectory`` takes every active slice through one
+batched column pair, with the loss formed in place in the gain's
+columns; ``collide`` is its one-slice case.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ from .grid import (
     PhaseField,
     _check_same_grid,
     _x_coeffs,
-    _x_sizes,
     _x_values,
     _xi_to_v_inplace,
     embed_modes,
     restrict_modes,
-    x_analyze,
     x_synthesize,
     xi_phase_matrix,
 )
@@ -141,25 +140,49 @@ def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
 
 
 # ---------------------------------------------------------------------------
-# x-dealiasing: the size of the padded x-grid (3/2 rule).
+# The one x-path: the padded x-grid (3/2 rule), the column pair and the loss.
 
 
-def _padded_count(n_modes: int, dealias: bool) -> int:
-    if not dealias:
-        return n_modes
-    m = (3 * n_modes + 1) // 2
-    return m + (m % 2)
+def _padded_sizes(grid: GridSpec, dealias: bool) -> tuple:
+    """Per-axis size of the collision's x-grid: the even 3/2-rule count
+    (n_modes without dealiasing) on an axis of count n_modes, one x-node
+    on an axis of count 1."""
+    m = grid.n_modes
+    if dealias:
+        m = (3 * m + 1) // 2
+        m += m % 2
+    return tuple(m if c > 1 else 1 for c in grid.mode_counts)
 
 
-def _flatten_xv(grid: GridSpec, values: np.ndarray, m) -> np.ndarray:
-    """(x-grid of size m, P..v..) -> (P^d, x-nodes): one v-coefficient
-    column per x-node."""
-    x_size, v_size = math.prod(_x_sizes(grid, m)), grid.v_points**grid.d
-    return values.reshape(x_size, v_size).T
+def _x_columns(grid: GridSpec, data: np.ndarray, sizes: tuple) -> np.ndarray:
+    """Coefficients ``data`` (trailing axes grid.shape, any leading axes)
+    as C-contiguous columns (P^d, slices * x-nodes): one column of
+    v-values per (slice, x-node) of the x-grid of ``sizes``."""
+    values = _x_values(grid, data, sizes)
+    return np.ascontiguousarray(values.reshape(-1, grid.v_points**grid.d).T)
 
 
-def _unflatten_xv(grid: GridSpec, cols: np.ndarray, m) -> np.ndarray:
-    return cols.T.reshape(_x_sizes(grid, m) + (grid.v_points,) * grid.d)
+def _x_from_columns(grid: GridSpec, cols: np.ndarray, sizes: tuple) -> np.ndarray:
+    """Inverse of _x_columns: the stored modes, shape (slices,) + grid.shape."""
+    values = cols.T.reshape((-1,) + sizes + (grid.v_points,) * grid.d)
+    return _x_coeffs(grid, values, sizes)
+
+
+def _loss_columns(grid: GridSpec, area: float, fv: np.ndarray, gv: np.ndarray):
+    """The loss area * f(x, v) * (dv^d sum_u g(x, u)) on columns, written
+    into ``fv`` (which may be ``gv``) and returned.  The v-sums are column
+    sums of the C-contiguous layout, which fixes their rounding."""
+    fv *= area * (grid.dv**grid.d * gv.sum(axis=0))
+    return fv
+
+
+def _pair_columns(f: PhaseField, g: PhaseField, sizes: tuple):
+    """(columns of f, columns of g) on the x-grid of ``sizes``; one array
+    for both when g's data equal f's."""
+    _check_same_grid(f, g)
+    fv = _x_columns(f.grid, f.data, sizes)
+    same = g is f or np.array_equal(g.data, f.data)
+    return fv, fv if same else _x_columns(g.grid, g.data, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +333,12 @@ def gain_bobylev(
     on the xi-grid by exact off-grid trigonometric sums, then transforms
     back to the (n, v) representation.
     """
-    _check_same_grid(f, g)
     grid = f.grid
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
-    same = g is f or np.array_equal(g.data, f.data)
-    m = _padded_count(grid.n_modes, dealias)
-    fv = _flatten_xv(grid, x_synthesize(f, m), m)
-    gv = fv if same else _flatten_xv(grid, x_synthesize(g, m), m)
-    gain_v = _gain_columns(grid, quad, fv, gv)
-    return x_analyze(grid, _unflatten_xv(grid, gain_v, m), m)
+    sizes = _padded_sizes(grid, dealias)
+    fv, gv = _pair_columns(f, g, sizes)
+    return PhaseField(grid, _x_from_columns(grid, _gain_columns(grid, quad, fv, gv), sizes)[0])
 
 
 def collide_trajectory(
@@ -355,22 +374,15 @@ def _collide_stack(stack, grid, quad, dealias, active):
     idx = np.flatnonzero(active)
     if idx.size == 0:
         return np.zeros_like(stack)
-    sizes = _x_sizes(grid, _padded_count(grid.n_modes, dealias))
-    n_v = grid.v_points**grid.d
-    # one column of v-coefficients per (slice, x-node), C-contiguous: the
-    # loss's column sums below are taken in that layout, which fixes their
-    # rounding.  Each staging array spans the whole window, so it is
-    # dropped as soon as it is used and the solve's peak memory stays
-    # that of the gain.
-    values = _x_values(grid, stack[idx], sizes)
-    cols = np.ascontiguousarray(values.reshape(-1, n_v).T)
-    del values
+    sizes = _padded_sizes(grid, dealias)
+    # each staging array spans the whole window, so it is dropped as soon
+    # as it is used and the solve's peak memory stays that of the gain;
+    # the loss overwrites the columns in place
+    cols = _x_columns(grid, stack[idx], sizes)
     q_v = _gain_columns(grid, quad, cols, cols)
-    mass = grid.dv**grid.d * cols.sum(axis=0)
-    cols *= float(np.sum(quad.weights)) * mass
-    q_v -= cols
+    q_v -= _loss_columns(grid, float(np.sum(quad.weights)), cols, cols)
     del cols
-    q = _x_coeffs(grid, q_v.T.reshape((idx.size,) + sizes + (grid.v_points,) * grid.d), sizes)
+    q = _x_from_columns(grid, q_v, sizes)
     del q_v
     out = np.zeros_like(stack)
     out[idx] = q
@@ -385,17 +397,12 @@ def loss_bobylev(
     ``area`` defaults to the full sphere measure; pass the total weight of
     a quadrature to keep gain and loss on the same angular measure.
     """
-    _check_same_grid(f, g)
     grid = f.grid
-    same = g is f or np.array_equal(g.data, f.data)
-    m = _padded_count(grid.n_modes, dealias)
-    fx = x_synthesize(f, m)
-    gx = fx if same else x_synthesize(g, m)
-    g0 = grid.dv**grid.d * gx.sum(axis=tuple(range(grid.d, 2 * grid.d)))
+    sizes = _padded_sizes(grid, dealias)
+    fv, gv = _pair_columns(f, g, sizes)
     if area is None:
         area = sphere_area(grid.d)
-    values = area * fx * g0[(...,) + (None,) * grid.d]
-    return x_analyze(grid, values, m)
+    return PhaseField(grid, _x_from_columns(grid, _loss_columns(grid, area, fv, gv), sizes)[0])
 
 
 def _interp_matrix(grid: GridSpec, points: np.ndarray):
@@ -463,18 +470,15 @@ def gain_direct_oracle(
     _check_same_grid(f, g)
     if quad.d != f.grid.d:
         raise ValueError("quadrature dimension does not match grid")
-    same = g is f or np.array_equal(g.data, f.data)
     # f and g as one two-slice stack (its t_half is unused), so that one
     # restrict_modes call takes their joint support
     pair = restrict_modes(Trajectory(f.grid, 1.0, np.stack([f.data, g.data])))
     grid = pair.grid
-    m = _padded_count(grid.n_modes, dealias)
-
-    def columns(data):
-        return _flatten_xv(grid, x_synthesize(PhaseField(grid, data), m), m).astype(np.complex64)
-
-    fv = columns(pair.data[0])
-    gv = fv if same else columns(pair.data[1])
+    sizes = _padded_sizes(grid, dealias)
+    fv, gv = _pair_columns(pair.slice_field(0), pair.slice_field(1), sizes)
+    same = gv is fv
+    fv = fv.astype(np.complex64)
+    gv = fv if same else gv.astype(np.complex64)
 
     vv = grid.v_vectors()
     n_v, n_x = fv.shape
@@ -496,8 +500,8 @@ def gain_direct_oracle(
             out[:, sl] += ((w[j] + w[k]) * grid.dv**grid.d) * np.einsum(
                 "vux,uvx->vx", f_star, g_vu
             )
-    values = _unflatten_xv(grid, out, m)
-    return restrict_modes(embed_modes(x_analyze(grid, values, m)), f.grid.mode_counts)
+    q = PhaseField(grid, _x_from_columns(grid, out, sizes)[0])
+    return restrict_modes(embed_modes(q), f.grid.mode_counts)
 
 
 def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> PhaseField:

@@ -13,7 +13,9 @@ onto such a grid, by default onto its data's own support
 (``_mode_support``; a nonzero dropped mode is a ValueError), and
 ``embed_modes`` moves it back, with zeros in the modes it left out.
 The x-transform pair works on the grid's x-grid, an axis of count 1
-having one x-node; a padded size applies to every other axis.
+having one x-node.  Its private core, ``_x_values``/``_x_coeffs``, takes
+per-axis x-grid sizes and any leading axes; the collision's zero-padded
+x-grid is sized in :mod:`kflab.collision` alone.
 """
 
 from __future__ import annotations
@@ -215,17 +217,6 @@ def make_grid(d: int, n_modes: int, v_extent: float, v_points: int) -> GridSpec:
     return GridSpec(d=d, n_modes=n_modes, v_extent=float(v_extent), v_points=v_points)
 
 
-def _x_sizes(grid: GridSpec, m) -> tuple:
-    """Per-axis x-grid sizes from ``m``: None (the grid's mode counts) or
-    one int >= n_modes, the size of every axis of count > 1; an axis of
-    count 1 keeps size 1."""
-    if m is None:
-        return grid.mode_counts
-    if np.ndim(m) != 0 or int(m) < grid.n_modes:
-        raise ValueError(f"x-grid size {m!r} must be one int >= n_modes = {grid.n_modes}")
-    return tuple(int(m) if c > 1 else 1 for c in grid.mode_counts)
-
-
 def _slots(grid: GridSpec, sizes: tuple) -> list:
     """Per axis, the FFT-order index of each stored mode on the x-grid of
     ``sizes``: the Nyquist slot (labelled +n_modes/2) goes to
@@ -254,9 +245,11 @@ def _from_x_grid(grid: GridSpec, coeffs: np.ndarray, sizes: tuple) -> np.ndarray
 
 
 def _x_values(grid: GridSpec, data: np.ndarray, sizes: tuple) -> np.ndarray:
-    """The synthesis of x_synthesize for coefficients ``data`` with
+    """Values on the x-grid of per-axis ``sizes`` (each >= the axis's
+    mode count, 1 on an axis of count 1) for coefficients ``data`` with
     trailing axes grid.shape and any leading axes (one transform per
-    leading index), on the x-grid of validated ``sizes``."""
+    leading index): the stored modes embedded at their labels with zeros
+    elsewhere, then the inverse x-DFT per fixed v."""
     big = _onto_x_grid(grid, data, sizes)
     # each axis transforms into one output array: the embedding itself when
     # it is a fresh copy, never the caller's data
@@ -268,9 +261,9 @@ def _x_values(grid: GridSpec, data: np.ndarray, sizes: tuple) -> np.ndarray:
 
 
 def _x_coeffs(grid: GridSpec, values: np.ndarray, sizes: tuple) -> np.ndarray:
-    """The analysis of x_analyze for ``values`` with trailing axes the
-    x-grid of ``sizes`` and the v-grid, any leading axes: the stored
-    modes, every other coefficient truncated."""
+    """Inverse of _x_values for ``values`` with trailing axes the x-grid
+    of ``sizes`` and the v-grid, any leading axes: the stored modes,
+    every other coefficient truncated."""
     coeffs = np.empty(values.shape, dtype=np.complex128)
     lead = values.ndim - 2 * grid.d
     np.fft.fftn(values, axes=range(lead, lead + grid.d), out=coeffs)
@@ -278,23 +271,18 @@ def _x_coeffs(grid: GridSpec, values: np.ndarray, sizes: tuple) -> np.ndarray:
     return _from_x_grid(grid, coeffs, sizes)
 
 
-def x_synthesize(fld: PhaseField, m=None) -> np.ndarray:
-    """Values f(x, v) on the x-grid of size ``m`` (the mode counts by
-    default; an int >= n_modes zero-pads every axis of count > 1 for
-    dealiased products), shape sizes + (P,)*d: the stored modes are
-    embedded at their labels with zeros elsewhere, then inverse x-DFT per
-    fixed v.  An axis of count 1 has one x-node: the values are constant
-    along it."""
-    return _x_values(fld.grid, fld.data, _x_sizes(fld.grid, m))
+def x_synthesize(fld: PhaseField) -> np.ndarray:
+    """Values f(x, v) on the grid's x-grid, shape grid.shape: inverse
+    x-DFT per fixed v.  An axis of count 1 has one x-node: the values are
+    constant along it."""
+    return _x_values(fld.grid, fld.data, fld.grid.mode_counts)
 
 
-def x_analyze(grid: GridSpec, values: np.ndarray, m=None) -> PhaseField:
-    """Inverse of x_synthesize on the x-grid of size ``m``, followed by
-    truncation to the stored modes."""
-    sizes = _x_sizes(grid, m)
-    if values.shape != sizes + (grid.v_points,) * grid.d:
+def x_analyze(grid: GridSpec, values: np.ndarray) -> PhaseField:
+    """Inverse of x_synthesize."""
+    if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid")
-    return PhaseField(grid, _x_coeffs(grid, values, sizes))
+    return PhaseField(grid, _x_coeffs(grid, values, grid.mode_counts))
 
 
 def _mode_support(grid: GridSpec, data: np.ndarray) -> tuple:

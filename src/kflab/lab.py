@@ -369,7 +369,7 @@ def loss_estimate_check(
     """Loss-term bilinear bound: |Q-(f,g)|_{L2_T H^{s,r}} <=
     C T^(1/4) |f|_X |g|_X on cutoff free evolutions."""
     return _bilinear_collision_check(
-        "loss-check", lambda a, b: loss_bobylev(a, b), grid, s, r, Ts, trials, seed
+        "loss-check", loss_bobylev, grid, s, r, Ts, trials, seed
     )
 
 

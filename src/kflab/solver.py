@@ -30,7 +30,7 @@ import numpy as np
 from .collision import (
     SphereQuadrature,
     _gain_cache_path,
-    _padded_count,
+    _padded_sizes,
     collide,
     collide_trajectory,
     moments,
@@ -38,7 +38,6 @@ from .collision import (
 from .grid import (
     GridSpec,
     PhaseField,
-    _x_sizes,
     conjugate_symmetry_defect,
     embed_modes,
     random_field,
@@ -190,7 +189,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
     linear = psi[ext] * free.data
 
     report = IterationReport(t_final=T, realness_defect=conjugate_symmetry_defect(f0))
-    report.collision_x_sizes = list(_x_sizes(g, _padded_count(g.n_modes, True)))
+    report.collision_x_sizes = list(_padded_sizes(g, True))
     cur = Trajectory(g, 2.0 * T, linear.copy(), cutoff="psi")
     halve = None
     for k in range(config.max_picard):

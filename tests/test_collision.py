@@ -116,15 +116,14 @@ def test_oracle_pairs_match_per_node_sum():
     # the oracle visits antipodal pairs with weight w_j + w_k; against the
     # sum over every node, with unequal antipodal weights and f != g
     from kflab import SphereQuadrature
-    from kflab import x_analyze, x_synthesize
-    from kflab.collision import _flatten_xv, _interp_matrix, _unflatten_xv
+    from kflab.collision import _interp_matrix, _x_columns, _x_from_columns
 
     g = _grid(n_modes=2, v_points=8)
     base = sphere_quadrature(2, 8)
     quad = SphereQuadrature(2, base.nodes, base.weights * (1.0 + 0.5 * base.nodes[:, 0]))
     f, h = _random_nonneg(g, 6), _random_nonneg(g, 7)
-    fv = _flatten_xv(g, x_synthesize(f), 2).astype(np.complex64)
-    hv = _flatten_xv(g, x_synthesize(h), 2).astype(np.complex64)
+    fv = _x_columns(g, f.data, g.mode_counts).astype(np.complex64)
+    hv = _x_columns(g, h.data, g.mode_counts).astype(np.complex64)
     vv = g.v_vectors()
     n_v = len(vv)
     out = 0.0
@@ -134,9 +133,9 @@ def test_oracle_pairs_match_per_node_sum():
         f_star = (s_op @ fv).reshape(n_v, n_v, -1)
         h_star = (s_op @ hv).reshape(n_v, n_v, -1)
         out = out + w * g.dv**2 * np.einsum("vux,uvx->vx", f_star, h_star)
-    expected = x_analyze(g, _unflatten_xv(g, out, 2))
+    expected = _x_from_columns(g, out, g.mode_counts)[0]
     oracle = gain_direct_oracle(f, h, quad, dealias=False)
-    assert _rel(oracle.data, expected.data) <= 1e-6
+    assert _rel(oracle.data, expected) <= 1e-6
 
 
 def _x_modes_field(grid, seed, axes):
@@ -167,14 +166,14 @@ def test_oracle_on_the_joint_support_matches_the_full_grid(f_axes, g_axes, nodes
     h = f if g_axes == f_axes else _x_modes_field(g, 9, g_axes)
     quad = sphere_quadrature(2, 8)
     visited = []
-    synthesize = collision.x_synthesize
+    x_columns = collision._x_columns
 
-    def spy(fld, m=None):
-        values = synthesize(fld, m)
-        visited.append(values.size // g.v_points**2)
-        return values
+    def spy(grid, data, sizes):
+        cols = x_columns(grid, data, sizes)
+        visited.append(cols.shape[1])
+        return cols
 
-    monkeypatch.setattr(collision, "x_synthesize", spy)
+    monkeypatch.setattr(collision, "_x_columns", spy)
     out = gain_direct_oracle(f, h, quad, dealias=False)
     assert out.grid == g and set(visited) == {nodes}
     monkeypatch.setattr(grid_module, "_mode_support", lambda grid, data: (grid.n_modes,) * 2)
@@ -351,16 +350,15 @@ def test_gain_odd_node_count_rejected(tmp_path, capsys):
 
 def test_collide_matches_dense_gain():
     g = make_grid(d=2, n_modes=4, v_points=16, v_extent=6.0)
-    from kflab import x_analyze, x_synthesize
-    from kflab.collision import _flatten_xv, _padded_count, _unflatten_xv
+    from kflab.collision import _padded_sizes, _x_columns, _x_from_columns
 
     f = _random_nonneg(g, 14)
     quad = sphere_quadrature(2, 16)
-    m = _padded_count(g.n_modes, True)
-    fv = _flatten_xv(g, x_synthesize(f, m), m)
-    gain = x_analyze(g, _unflatten_xv(g, _dense_gain(g, quad, fv, fv), m), m)
+    sizes = _padded_sizes(g, True)
+    fv = _x_columns(g, f.data, sizes)
+    gain = _x_from_columns(g, _dense_gain(g, quad, fv, fv), sizes)[0]
     loss = loss_bobylev(f, f, area=float(np.sum(quad.weights)))
-    assert _rel(collide(f, quad).data, gain.data - loss.data) <= 1e-13
+    assert _rel(collide(f, quad).data, gain - loss.data) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +440,12 @@ def _per_slice_x_work(stack, g, quad, active):
     """collide_trajectory with the x-work done one slice at a time: each
     active slice synthesized, its loss taken and its columns analyzed on
     their own, around one gain call on all the columns."""
-    from kflab import x_analyze, x_synthesize
-    from kflab.collision import _flatten_xv, _gain_columns, _padded_count, _unflatten_xv
+    from kflab.collision import _gain_columns, _padded_sizes, _x_columns, _x_from_columns
 
     idx = np.flatnonzero(active)
-    m = _padded_count(g.n_modes, True)
+    sizes = _padded_sizes(g, True)
     # C-contiguous (P^d, columns), the layout whose column sums the loss takes
-    cols = np.ascontiguousarray(np.concatenate(
-        [_flatten_xv(g, x_synthesize(PhaseField(g, stack[j]), m), m) for j in idx],
-        axis=1,
-    ))
+    cols = np.concatenate([_x_columns(g, stack[j], sizes) for j in idx], axis=1)
     q_v = _gain_columns(g, quad, cols, cols)
     out = np.zeros_like(stack)
     n_x = cols.shape[1] // idx.size
@@ -459,7 +453,7 @@ def _per_slice_x_work(stack, g, quad, active):
         sl = slice(pos * n_x, (pos + 1) * n_x)
         mass = g.dv**g.d * cols[:, sl].sum(axis=0)
         q_v[:, sl] -= cols[:, sl] * (float(np.sum(quad.weights)) * mass)
-        out[j] = x_analyze(g, _unflatten_xv(g, q_v[:, sl], m), m).data
+        out[j] = _x_from_columns(g, q_v[:, sl], sizes)[0]
     return out
 
 
@@ -504,16 +498,15 @@ def test_collide_trajectory_batch_is_the_per_slice_collide(d, n_modes, v_points,
 def _full_grid_collision(f, quad):
     """(gain, gain - loss) of f on the full m^d padded x-grid, the gain by
     the dense per-entry sum."""
-    from kflab import x_analyze, x_synthesize
-    from kflab.collision import _flatten_xv, _padded_count, _unflatten_xv
+    from kflab.collision import _padded_sizes, _x_columns, _x_from_columns
 
     g = f.grid
-    m = _padded_count(g.n_modes, True)
-    fv = _flatten_xv(g, x_synthesize(f, m), m)
+    sizes = _padded_sizes(g, True)
+    fv = _x_columns(g, f.data, sizes)
     gain = _dense_gain(g, quad, fv, fv)
     mass = g.dv**g.d * fv.sum(axis=0)
     q = gain - fv * (float(np.sum(quad.weights)) * mass)
-    return tuple(x_analyze(g, _unflatten_xv(g, c, m), m).data for c in (gain, q))
+    return tuple(_x_from_columns(g, c, sizes)[0] for c in (gain, q))
 
 
 def _x_invariant_case(d, flat_axes, seed):
@@ -539,13 +532,12 @@ def _x_invariant_case(d, flat_axes, seed):
 )
 def test_collision_x_support_matches_full_grid(d, flat_axes, sizes):
     from kflab import embed_modes, restrict_modes
-    from kflab.collision import _padded_count, collide_trajectory
-    from kflab.grid import _x_sizes
+    from kflab.collision import _padded_sizes, collide_trajectory
 
     f = _x_invariant_case(d, flat_axes, 23)
     quad = sphere_quadrature(d, 16 if d == 2 else 8)
     sub = restrict_modes(f)
-    assert _x_sizes(sub.grid, _padded_count(f.grid.n_modes, True)) == sizes
+    assert _padded_sizes(sub.grid, True) == sizes
     gain_ref, q_ref = _full_grid_collision(f, quad)
     scale = np.max(np.abs(gain_ref))
     gain = embed_modes(gain_bobylev(sub, sub, quad)).data
@@ -602,13 +594,38 @@ def test_collision_columns_follow_x_support(monkeypatch):
 
 def test_d3_x1_data_collide_on_one_x_axis(monkeypatch):
     from kflab import restrict_modes
-    from kflab.collision import _padded_count
-    from kflab.grid import _x_sizes
+    from kflab.collision import _padded_sizes
 
     g = make_grid(d=3, n_modes=4, v_points=8, v_extent=6.0)
     f0 = restrict_modes(maxwellian_perturbed(g, eps=0.1, mode=(1, 0, 0)))
     assert f0.grid.mode_counts == (4, 1, 1)
-    assert _x_sizes(f0.grid, _padded_count(g.n_modes, True)) == (6, 1, 1)
+    assert _padded_sizes(f0.grid, True) == (6, 1, 1)
     counts = _spy_columns(monkeypatch)
     collide(f0, sphere_quadrature(3, 8))
     assert counts == [6]
+
+
+# ---------------------------------------------------------------------------
+# Bilinearity with f != g through the public entries.
+
+
+@pytest.mark.parametrize("counts", [None, (8, 1)], ids=["full", "support"])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_gain_and_loss_are_bilinear_and_gain_symmetric(counts, dealias):
+    # Q+(f+h, f+h) expands into four terms, as does Q-; and for the
+    # antipodally symmetric weights of sphere_quadrature xi+ and xi- swap
+    # under omega -> -omega, so Q+(f, h) = Q+(h, f)
+    from dataclasses import replace
+
+    g = replace(make_grid(d=2, n_modes=8, v_points=8, v_extent=6.0), mode_counts=counts)
+    quad = sphere_quadrature(2, 8)
+    rng = np.random.default_rng(26)
+    f, h = (PhaseField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+            for _ in range(2))
+    s = f + h
+    gain = lambda a, b: gain_bobylev(a, b, quad, dealias=dealias).data  # noqa: E731
+    loss = lambda a, b: loss_bobylev(a, b, dealias=dealias).data  # noqa: E731
+    for op in (gain, loss):
+        terms = op(f, f) + op(h, h) + op(f, h) + op(h, f)
+        assert _rel(op(s, s), terms) <= 1e-13
+    assert _rel(gain(f, h), gain(h, f)) <= 1e-13

@@ -24,8 +24,8 @@ from kflab import (
     xi_phase_matrix,
     xi_to_v,
 )
-from kflab.collision import _padded_count
-from kflab.grid import _mode_support
+from kflab.collision import _padded_sizes
+from kflab.grid import _mode_support, _x_coeffs, _x_values
 
 
 def test_make_grid_spacing():
@@ -93,17 +93,18 @@ def test_x_roundtrip_random():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_x_padded_roundtrip(d):
-    # synthesis on an m^d x-grid (zero-padded modes) then analysis and
-    # truncation returns the stored modes, Nyquist slot included
+    # synthesis on the grid's x-grid or on the collision's padded one
+    # (zero-padded modes), then analysis and truncation, returns the
+    # stored modes, Nyquist slot included
     g = make_grid(d=d, n_modes=4, v_points=4, v_extent=2.0)
     fld = random_field(g, seed=10 + d)
-    for m in (g.n_modes, _padded_count(g.n_modes, True)):
-        vals = x_synthesize(fld, m)
-        assert vals.shape == (m,) * d + (g.v_points,) * d
-        back = x_analyze(g, vals, m)
-        assert np.max(np.abs(back.data - fld.data)) <= 1e-14
+    for sizes in (g.mode_counts, _padded_sizes(g, True)):
+        vals = _x_values(g, fld.data, sizes)
+        assert vals.shape == sizes + (g.v_points,) * d
+        back = _x_coeffs(g, vals, sizes)
+        assert np.max(np.abs(back - fld.data)) <= 1e-14
     with pytest.raises(ValueError, match="does not match grid"):
-        x_analyze(g, x_synthesize(fld, 6), 8)
+        x_analyze(g, _x_values(g, fld.data, _padded_sizes(g, True)))
 
 
 def _invariant_along(fld, axes):
@@ -123,18 +124,18 @@ def _invariant_along(fld, axes):
 def test_x_roundtrip_per_axis_sizes(d, sizes):
     # on a support grid an axis of count 1 has one x-node: the synthesis
     # is constant along it, and analysis writes exact zeros for n_a != 0;
-    # the size m applies to every other axis
+    # every other axis takes its own size
     g = make_grid(d=d, n_modes=4, v_points=4, v_extent=2.0)
     flat = [a for a in range(d) if sizes[a] == 1]
     fld = _invariant_along(random_field(g, seed=20 + d), flat)
     sub = restrict_modes(fld, tuple(1 if s == 1 else 4 for s in sizes))
     m = max(sizes + (4,))
-    vals = x_synthesize(sub, m)
+    vals = _x_values(sub.grid, sub.data, sizes)
     assert vals.shape == sizes + (g.v_points,) * d
-    full = x_synthesize(fld, m)
+    full = _x_values(g, fld.data, (m,) * d)
     for a in flat:
         assert np.max(np.abs(full - np.take(vals, [0], axis=a))) <= 1e-14
-    back = embed_modes(x_analyze(sub.grid, vals, m))
+    back = embed_modes(PhaseField(sub.grid, _x_coeffs(sub.grid, vals, sizes)))
     assert np.max(np.abs(back.data - fld.data)) <= 1e-14
     assert not np.any(back.data[fld.data == 0])
 
@@ -145,19 +146,12 @@ def test_x_synthesize_size_one_rejects_dropped_mode():
     g = make_grid(d=2, n_modes=4, v_points=4, v_extent=2.0)
     fld = _invariant_along(random_field(g, seed=30), [1])
     sub = restrict_modes(fld, (4, 1))
-    assert x_synthesize(sub, 6).shape == (6, 1, 4, 4)
+    assert x_synthesize(sub).shape == (4, 1, 4, 4)
+    assert _x_values(sub.grid, sub.data, _padded_sizes(sub.grid, True)).shape == (6, 1, 4, 4)
     fld.data[1, 3, 0, 0] = 1e-300
     for counts in ((4, 1), (1, 4)):
         with pytest.raises(ValueError, match="would drop nonzero modes"):
             restrict_modes(fld, counts)
-    # the size is None or one int >= n_modes: a per-axis tuple or a
-    # smaller int is refused by both halves of the pair
-    values = np.zeros((6, 1, 4, 4), dtype=np.complex128)
-    for bad in ((6, 1), (6,), (6, 6), 2, 3):
-        with pytest.raises(ValueError, match="x-grid size"):
-            x_synthesize(sub, bad)
-        with pytest.raises(ValueError, match="x-grid size"):
-            x_analyze(sub.grid, values, bad)
 
 
 @settings(max_examples=40, deadline=None)
