@@ -218,14 +218,14 @@ def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
     )
     report.write(out_dir)
     slope = _max_slope(report, "N", "M")
-    # the grid of every cell, and the complex128 field of the largest,
-    # which sets the scan's memory
+    # the grid of every cell, and the complex64 field of the largest,
+    # which the scan draws and runs its L4 time loop on
     cells = [(N, M, lab._cell_grid(grid, N, M)) for N in Ns for M in Ms]
     _write_json(out_dir, "strichartz_summary.json", {
         "max_slope_vs_N": slope,
         "cells": [{"N": N, "M": M, "n_modes": c.n_modes, "v_points": c.v_points}
                   for N, M, c in cells],
-        "largest_field_mb": max(16 * int(np.prod(c.shape)) for _, _, c in cells) / 1e6,
+        "largest_field_mb": max(8 * int(np.prod(c.shape)) for _, _, c in cells) / 1e6,
     })
     return _slope_gate(st, slope)
 

@@ -439,7 +439,8 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """complex128 array of shape ``shape``, bit for bit
     ``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)``: the
     real parts are drawn first, then the imaginary parts, through one
-    float64 buffer, so the draw peaks at 1.5x the result's bytes, not 3x."""
+    float64 buffer, so the draw peaks at 1.5x the result's bytes, not 3x.
+    lab._draw_block streams the same two draws row by row."""
     out = np.empty(shape, dtype=np.complex128)
     buf = rng.standard_normal(shape)
     out.real = buf

@@ -357,11 +357,11 @@ def test_slope_summaries_are_strict_json(tmp_path):
     out = tmp_path / "strichartz"
     assert run(["strichartz-scan", "--out-dir", str(out)] + _TINY_RUNS["strichartz-scan"]) == 0
     # one cell, n_modes=4 and v_points=4 on the 8 x 8 grid of spacing 1:
-    # a 4^4 complex128 field
+    # a 4^4 complex64 field
     assert _strict_json(out / "strichartz_summary.json") == {
         "max_slope_vs_N": None,
         "cells": [{"N": 2, "M": 1, "n_modes": 4, "v_points": 4}],
-        "largest_field_mb": 16 * 4**4 / 1e6,
+        "largest_field_mb": 8 * 4**4 / 1e6,
     }
     out = tmp_path / "counting"
     assert run(["counting-check", "--out-dir", str(out)] + _ONE_CELL) == 0

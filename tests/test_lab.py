@@ -24,7 +24,8 @@ from kflab import (
     strichartz_gauge_check,
     strichartz_scan,
 )
-from kflab.lab import _free_l4_norm
+from kflab import lab
+from kflab.lab import _draw_block, _free_l4_norm
 from kflab.norms import _slice_l4_xi_4
 from kflab.propagator import _nv_dot
 from kflab.trajectory import _trapz_weights
@@ -102,14 +103,21 @@ def test_free_l4_norm_matches_dense(d, n_modes, v_points, n_time, single, rel):
 
 def test_block_field_matches_the_projector_composition():
     # one complex-Gaussian draw, the shell, the velocity bump and the
-    # normalization in place: the bits of the public projectors' chain
-    g = make_grid(d=2, n_modes=16, v_points=16, v_extent=8.0)
-    for N, M, seed in ((1, 1, 3), (4, 2, 4), (8, 4, 5)):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        ref = project_v_dyadic(project_x_shell(PhaseField(g, data), N), M)
-        ref = ref.data / ref.l2_norm()
-        assert np.array_equal(random_block_field(g, N, M, seed).data, ref)
+    # normalization: the bits of the public projectors' chain, and of its
+    # complex64 cast and l2_norm (the Strichartz scan's draw)
+    for g in (make_grid(d=2, n_modes=16, v_points=16, v_extent=8.0),
+              make_grid(d=3, n_modes=8, v_points=8, v_extent=4.0)):
+        top = (g.n_modes // 2, int(g.v_extent) // 2, 5)
+        for N, M, seed in ((1, 1, 3), (4, 2, 4), top):
+            rng = np.random.default_rng(seed)
+            data = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+            ref = project_v_dyadic(project_x_shell(PhaseField(g, data), N), M)
+            ref = PhaseField(g, ref.data / ref.l2_norm())
+            assert np.array_equal(random_block_field(g, N, M, seed).data, ref.data)
+            single, l2 = _draw_block(g, N, M, seed, np.complex64)
+            assert single.dtype == np.complex64
+            assert single.tobytes() == ref.data.astype(np.complex64).tobytes()
+            assert l2 == ref.l2_norm()
 
 
 # the grid of the memory tests: a 16.8 MB complex128 field
@@ -133,6 +141,16 @@ def test_block_field_peak_memory():
     random_block_field(g, 8, 4, 0)  # warm-up
     nbytes = 16 * int(np.prod(g.shape))
     assert _traced_peak(lambda: random_block_field(g, 8, 4, 1)) <= 1.75 * nbytes
+
+
+def test_block_field_complex64_peak_memory():
+    # the complex64 result and one float64 |z|^2 array (2x), plus a few
+    # rows; a complex128 draw cast afterwards would peak at 3x
+    g = make_grid(**_MEM_GRID)
+    _draw_block(g, 8, 4, 0, np.complex64)  # warm-up
+    nbytes = 8 * int(np.prod(g.shape))
+    peak = _traced_peak(lambda: _draw_block(g, 8, 4, 1, np.complex64))
+    assert peak <= 2.25 * nbytes
 
 
 def test_free_l4_norm_peak_memory():
@@ -160,6 +178,22 @@ def test_strichartz_gauge_identity():
     rep = strichartz_gauge_check(g, N=2, M=1, shift=(3, -2), trials=2,
                                  T=0.5, seed=0, n_time=5)
     assert max(rep.column("defect")) <= 1e-8
+
+
+def test_strichartz_gauge_rejects_a_nan_defect(monkeypatch):
+    # a NaN ratio_shift leaves ratio_center finite; its NaN defect is
+    # what criterion 4's max() could skip
+    calls = []
+
+    def second_is_nan(*args):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else _free_l4_norm(*args)
+
+    monkeypatch.setattr(lab, "_free_l4_norm", second_is_nan)
+    g = make_grid(d=2, n_modes=16, v_points=8, v_extent=4.0)
+    with pytest.raises(FloatingPointError, match="defect"):
+        strichartz_gauge_check(g, N=2, M=1, shift=(3, -2), trials=2,
+                               T=0.5, seed=0, n_time=5)
 
 
 def test_bilinear_check_swap_symmetric_rhs():
