@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -53,6 +54,8 @@ def _load_config(config_path: str | None) -> list:
 
 
 def _parse_value(raw: str):
+    """bool, int, float, str, or a list of them; a number that is not
+    finite (nan, inf) is a ValueError."""
     raw = raw.strip()
     if "," in raw:
         return [_parse_value(t) for t in raw.split(",") if t.strip()]
@@ -64,9 +67,12 @@ def _parse_value(raw: str):
     except ValueError:
         pass
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         return raw
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
 
 
 def _collect_overrides(tokens: list) -> dict:
@@ -112,11 +118,14 @@ class Settings:
             raise ValueError(f"unknown key(s) for {section}: {', '.join(unknown)}")
 
     def get(self, key: str):
-        """The parsed value of ``key``; a missing key is a ValueError
-        naming it."""
+        """The parsed value of ``key``; a missing key or a non-finite
+        number is a ValueError naming it."""
         if key not in self.values:
             raise ValueError(f"missing key for {self.section}: {key}")
-        return _parse_value(self.values[key])
+        try:
+            return _parse_value(self.values[key])
+        except ValueError as exc:
+            raise ValueError(f"{exc} for {self.section}: {key}") from None
 
     def get_list(self, key: str) -> list:
         v = self.get(key)

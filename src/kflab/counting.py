@@ -14,7 +14,6 @@ measure_level_set_exact_1d; the bound is stated for every d.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +141,6 @@ def counting_sweep(
     """Standard d=2 boundedness sweep: random (a, b, C0) per cell, ratio =
     measure / bound; C0 is drawn uniform on [0, MN] (documented choice)
     so slabs meet the box often."""
-    t0 = time.time()
     report = ExperimentReport(
         experiment="counting-check",
         columns=["d", "N", "M", "K", "query", "estimate", "bound", "ratio"],
@@ -166,6 +164,4 @@ def counting_sweep(
                     est = measure_level_set(query)
                     bound = bound_rhs(query)
                     report.add_row(2, N, M, K, q, est, bound, est / bound)
-    report.validate_finite("ratio")
-    report.wall_clock = time.time() - t0
-    return report
+    return report.finish("ratio")

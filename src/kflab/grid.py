@@ -182,9 +182,6 @@ class PhaseField:
         if self.data.dtype != np.complex128:
             self.data = self.data.astype(np.complex128)
 
-    def copy(self) -> "PhaseField":
-        return PhaseField(self.grid, self.data.copy())
-
     def l2_norm(self) -> float:
         """The discrete l2_n L2_v norm (constants sheet)."""
         # |data|^2 squared in place: the bits of np.abs(data) ** 2 with
@@ -322,12 +319,7 @@ def embed_modes(obj):
     that its grid leaves out an exact zero: the inverse of
     restrict_modes."""
     full = replace(obj.grid, mode_counts=None)
-    data = obj.data
-    if not obj.grid.is_full:
-        lead = data.ndim - 2 * full.d
-        data = np.zeros(data.shape[:lead] + full.shape, dtype=np.complex128)
-        data[(slice(None),) * lead + tuple(slice(c) for c in obj.grid.mode_counts)] = obj.data
-    return replace(obj, grid=full, data=data)
+    return replace(obj, grid=full, data=_onto_x_grid(obj.grid, obj.data, full.mode_counts))
 
 
 def _v_to_xi_axis_phases(grid: GridSpec) -> np.ndarray:

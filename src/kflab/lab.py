@@ -9,8 +9,6 @@ parameters, grid).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .collision import SphereQuadrature, gain_bobylev, loss_bobylev
@@ -47,6 +45,7 @@ from .reports import ExperimentReport
 from .trajectory import (
     Trajectory,
     _tau_grid,
+    _trapz_l2,
     _trapz_weights,
     duhamel_integral,
     make_trajectory,
@@ -242,7 +241,6 @@ def strichartz_scan(
     drawn straight into complex64 (_draw_block), so no complex128 copy is
     ever held: the draw peaks at 16 B per value, under the L4 time loop's
     data plus one slice."""
-    t0 = time.time()
     report = ExperimentReport(
         experiment="strichartz-scan",
         columns=["N", "M", "trial", "lhs", "rhs", "ratio"],
@@ -262,9 +260,7 @@ def strichartz_scan(
                 del data
                 rhs = _strichartz_rhs(cell.d, N, M) ** 0.25 * l2
                 report.add_row(N, M, trial, lhs, rhs, lhs / rhs)
-    report.validate_finite()
-    report.wall_clock = time.time() - t0
-    return report
+    return report.finish("ratio")
 
 
 def strichartz_gauge_check(
@@ -273,7 +269,6 @@ def strichartz_gauge_check(
     """Frequency-center shift is an exact gauge transformation: the L4
     ratio of a block field centered at 0 equals the ratio of the same
     coefficients translated to center `shift`, to rounding."""
-    t0 = time.time()
     shift = np.asarray(shift, dtype=np.int64)
     margin = int(np.max(np.abs(shift)))
     cell = _cell_grid(grid, N, M, margin=margin)
@@ -296,11 +291,8 @@ def strichartz_gauge_check(
         r0 = _free_l4_norm(cell, base.data, T, n_time) / (rhs * (2 * np.pi) ** cell.d)
         r1 = _free_l4_norm(cell, moved.data, T, n_time) / (rhs * (2 * np.pi) ** cell.d)
         report.add_row(N, M, trial, r0, r1, abs(r0 - r1) / max(r0, r1))
-    report.validate_finite("ratio_center")
     # a NaN ratio_shift gives a NaN defect, which max() may skip
-    report.validate_finite("defect")
-    report.wall_clock = time.time() - t0
-    return report
+    return report.finish("ratio_center", "defect")
 
 
 def _random_modulation_field(
@@ -343,7 +335,6 @@ def bilinear_modulation_check(
     |u1 u2|_L2 / (sqrt(K1 K2) max{M^d,(MN)^(d-1)log(1+N)}^(1/2)
     |u1|_L2 |u2|_L2).  Fields are seeded by (trial, K) only, so the
     (K1, K2) swap reuses the exact same pair."""
-    t0 = time.time()
     report = ExperimentReport(
         experiment="bilinear-check",
         columns=["N", "M", "K1", "K2", "trial", "lhs", "rhs", "ratio"],
@@ -368,9 +359,7 @@ def bilinear_modulation_check(
                     * l2_spacetime_norm(u2)
                 )
                 report.add_row(N, M, K1, K2, trial, lhs, rhs, lhs / rhs)
-    report.validate_finite()
-    report.wall_clock = time.time() - t0
-    return report
+    return report.finish("ratio")
 
 
 def _cutoff_free_trajectory(
@@ -391,7 +380,6 @@ _ESTIMATE_B = 0.55
 def _bilinear_collision_check(
     name: str, apply_op, grid: GridSpec, s: float, r: float, Ts, trials: int, seed: int
 ) -> ExperimentReport:
-    t0 = time.time()
     n_samples, b = _ESTIMATE_SAMPLES, _ESTIMATE_B
     report = ExperimentReport(
         experiment=name,
@@ -405,27 +393,13 @@ def _bilinear_collision_check(
         for trial in range(trials):
             f = _cutoff_free_trajectory(grid, T, n_samples, _trial_seed(seed, 0, trial, int(1e3 * T)))
             g = _cutoff_free_trajectory(grid, T, n_samples, _trial_seed(seed, 1, trial, int(1e3 * T)))
-
-            def op_norm(j: int) -> float:
-                out = apply_op(f.slice_field(j), g.slice_field(j))
-                return sobolev_norm(out, s, r)
-
-            lhs = _restricted_l2_sobolev_op(op_norm, f, T)
+            # L2 over |t| <= T of the operator's H^{s,r} norm
+            sq = [sobolev_norm(apply_op(f.slice_field(j), g.slice_field(j)), s, r) ** 2
+                  for j in f.within(T)]
+            lhs = _trapz_l2(sq, f.dt)
             rhs = T**0.25 * xsb_norm(f, params) * xsb_norm(g, params)
             report.add_row(T, trial, lhs, rhs, lhs / rhs)
-    report.validate_finite()
-    report.wall_clock = time.time() - t0
-    return report
-
-
-def _restricted_l2_sobolev_op(op_norm, traj: Trajectory, T: float) -> float:
-    keep = np.abs(traj.times) <= T + 1e-12
-    idx = np.flatnonzero(keep)
-    tw = _trapz_weights(len(idx), traj.dt)
-    total = 0.0
-    for k, j in enumerate(idx):
-        total += tw[k] * op_norm(int(j)) ** 2
-    return float(np.sqrt(total))
+    return report.finish("ratio")
 
 
 def loss_estimate_check(
@@ -470,7 +444,6 @@ def holder_gain_check(
     if inv_r > 1.0:
         raise ValueError("need 1/p + 1/q <= 1")
     r_exp = 1.0 / inv_r
-    t0 = time.time()
     report = ExperimentReport(
         experiment="holder-check",
         columns=["N1", "M1", "N2", "M2", "trial", "lhs", "rhs", "ratio"],
@@ -490,9 +463,7 @@ def holder_gain_check(
                 ratios = np.where(rhs_x > 0, lhs_x / np.maximum(rhs_x, 1e-300), 0.0)
             lhs, rhs = float(np.max(lhs_x)), float(np.max(rhs_x))
             report.add_row(N1, M1, N2, M2, trial, lhs, rhs, float(np.max(ratios)))
-    report.validate_finite()
-    report.wall_clock = time.time() - t0
-    return report
+    return report.finish("ratio")
 
 
 def linear_xsb_checks(
@@ -502,7 +473,6 @@ def linear_xsb_checks(
     (b2) |psi S(t)g|_X / |g|_{H^{s,r}} (= |psi|_{H^b} exactly),
     (b3) Duhamel: |psi int_0^t S(t-t') F dt'|_X / |F|_{X^{s,r,b-1}},
     (b4) |F|_{X^{s,r,b-1}} / |F|_{L2_t H^{s,r}} (<= 1 row-wise when b <= 1)."""
-    t0 = time.time()
     params = NormParams(s=s, r=r, b=b)
     params_low = NormParams(s=s, r=r, b=b - 1.0)
     report = ExperimentReport(
@@ -525,23 +495,14 @@ def linear_xsb_checks(
     dh = duhamel_integral(forcing)
     dh = apply_time_cutoff(dh, "psi")
     lhs3 = xsb_norm(dh, params)
-    rhs3 = xsb_norm(forcing, params_low)
-    report.add_row("b3", lhs3, rhs3, lhs3 / rhs3)
+    # |F|_{X^{s,r,b-1}}: the rhs of b3 and the lhs of b4
+    f_low = xsb_norm(forcing, params_low)
+    report.add_row("b3", lhs3, f_low, lhs3 / f_low)
 
-    lhs4 = xsb_norm(forcing, params_low)
-    tw = _trapz_weights(forcing.n_samples, forcing.dt)
-    rhs4 = float(
-        np.sqrt(
-            sum(
-                tw[j] * sobolev_norm(forcing.slice_field(j), s, r) ** 2
-                for j in range(forcing.n_samples)
-            )
-        )
-    )
-    report.add_row("b4", lhs4, rhs4, lhs4 / rhs4)
-    report.validate_finite()
-    report.wall_clock = time.time() - t0
-    return report
+    sq = [sobolev_norm(forcing.slice_field(j), s, r) ** 2 for j in range(forcing.n_samples)]
+    rhs4 = _trapz_l2(sq, forcing.dt)
+    report.add_row("b4", f_low, rhs4, f_low / rhs4)
+    return report.finish("ratio")
 
 
 # cutoff widths, window half-width and samples of psi_delta_scaling
@@ -554,7 +515,6 @@ def psi_delta_scaling(b: float) -> ExperimentReport:
     """Two-power scaling of the rescaled cutoff: |psi_delta|_{L2} ~
     delta^(1/2) and |psi_delta|_{Hdot^b} ~ delta^(1/2-b); fitted
     log-log slopes are stored in the report header."""
-    t0 = time.time()
     t_half, n_samples = _PSI_T_HALF, _PSI_SAMPLES
     report = ExperimentReport(
         experiment="psi-delta-scaling",
@@ -571,5 +531,4 @@ def psi_delta_scaling(b: float) -> ExperimentReport:
     report.extra["slope_hdotb"] = loglog_slope(
         report.column("delta"), report.column("hdotb")
     )
-    report.wall_clock = time.time() - t0
-    return report
+    return report.finish("l2", "hdotb")

@@ -12,7 +12,7 @@ time integral is trapezoidal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,10 +144,7 @@ def apply_time_cutoff(traj: Trajectory, kind: str, t_inner: float = 1.0) -> Traj
         raise ValueError("cutoff width must be positive")
     prof = bump_psi(traj.times / scale)
     ext = (...,) + (None,) * (2 * traj.grid.d)
-    out = traj.copy()
-    out.data = traj.data * prof[ext]
-    out.cutoff = kind
-    return out
+    return replace(traj, data=traj.data * prof[ext], cutoff=kind)
 
 
 def xsb_norm(traj: Trajectory, params: NormParams) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class ExperimentReport:
     grid_desc: str = ""
     wall_clock: float = 0.0
     extra: dict = field(default_factory=dict)
+    # the run's clock starts when the report is built; finish() reads it
+    _started: float = field(default_factory=time.time, init=False, repr=False, compare=False)
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -71,6 +74,14 @@ class ExperimentReport:
             raise FloatingPointError(
                 f"{self.experiment}: non-finite {name} in row {bad}: {self.rows[bad]}"
             )
+
+    def finish(self, *columns) -> "ExperimentReport":
+        """End the run: validate_finite on each named column, then record
+        the wall clock since the report was built; returns the report."""
+        for name in columns:
+            self.validate_finite(name)
+        self.wall_clock = time.time() - self._started
+        return self
 
     def header_items(self) -> list:
         base = {

@@ -23,7 +23,7 @@ identically one and the fixed point solves the true equation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -135,21 +135,7 @@ class IterationReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "deltas_sup": [float(x) for x in self.deltas_sup],
-            "deltas_x": [float(x) for x in self.deltas_x],
-            "contraction_ratios": [float(x) for x in self.ratios()],
-            "converged": self.converged,
-            "halvings": self.halvings,
-            "t_final": self.t_final,
-            "realness_defect": self.realness_defect,
-            "message": self.message,
-            "collision_x_sizes": self.collision_x_sizes,
-            "halvings_reasons": self.halvings_reasons,
-            "sweep_wall_s": [float(x) for x in self.sweep_wall_s],
-            "gain_cache": self.gain_cache,
-            "solve_mode_counts": self.solve_mode_counts,
-        }
+        return {**asdict(self), "contraction_ratios": self.ratios()}
 
 
 def maxwellian_perturbed(grid: GridSpec, eps: float = 0.0, mode=None) -> PhaseField:
@@ -313,34 +299,30 @@ def perturbation_experiment(
     """Data-to-solution continuity: solve from f0 and from f0 + delta*g
     for a fixed unit direction g, report sup_{|t|<=T} H^{s,r} distance
     divided by delta across the ladder."""
-    t0 = time.time()
-    g = random_field(f0.grid, np.random.SeedSequence(seed), real=True)
-    base, base_rep = duhamel_picard(f0, config)
     params = config.params
     report = ExperimentReport(
         experiment="perturbation-check",
         columns=["delta", "sup_diff", "ratio"],
         seed=seed,
         grid_desc=repr(f0.grid),
-        extra={"T": base_rep.t_final, "s": params.s, "r": params.r},
+        extra={"s": params.s, "r": params.r},
     )
+    g = random_field(f0.grid, np.random.SeedSequence(seed), real=True)
+    base, base_rep = duhamel_picard(f0, config)
     if not base_rep.converged:
         raise RuntimeError("base solve did not converge: " + base_rep.message)
-    T = base_rep.t_final
-    keep = np.abs(base.times) <= T + 1e-12
+    report.extra["T"] = base_rep.t_final
     for delta in deltas:
         pert = PhaseField(f0.grid, f0.data + delta * g.data)
         sol, rep = duhamel_picard(pert, config)
         if not rep.converged or rep.t_final != base_rep.t_final:
             raise RuntimeError("perturbed solve incompatible with base solve")
         sup_diff = 0.0
-        for j in np.flatnonzero(keep):
+        for j in base.within(base_rep.t_final):
             d = PhaseField(f0.grid, sol.data[j] - base.data[j])
             sup_diff = max(sup_diff, sobolev_norm(d, params.s, params.r))
         report.add_row(float(delta), sup_diff, sup_diff / delta)
-    report.validate_finite()
-    report.wall_clock = time.time() - t0
-    return report
+    return report.finish("ratio")
 
 
 def positivity_check(traj: Trajectory, threshold: float, t_limit) -> dict:
@@ -350,9 +332,7 @@ def positivity_check(traj: Trajectory, threshold: float, t_limit) -> dict:
     are reported as failures."""
     worst = np.inf
     imag = 0.0
-    for j, t in enumerate(traj.times):
-        if t_limit is not None and abs(t) > t_limit + 1e-12:
-            continue
+    for j in traj.within(t_limit):
         vals = x_synthesize(traj.slice_field(j))
         worst = min(worst, float(np.min(vals.real)))
         imag = max(imag, float(np.max(np.abs(vals.imag))))
@@ -370,14 +350,13 @@ def conservation_drift(traj: Trajectory, t_limit) -> dict:
     x-integrated velocity moments."""
     g = traj.grid
     dxd = g.dx**g.d
+    times = traj.times
     rows = []
-    for j, t in enumerate(traj.times):
-        if t_limit is not None and abs(t) > t_limit + 1e-12:
-            continue
+    for j in traj.within(t_limit):
         mass, mom, energy = moments(traj.slice_field(j))
         rows.append(
             (
-                float(t),
+                float(times[j]),
                 float(np.real(mass.sum() * dxd)),
                 [float(np.real(mom[..., i].sum() * dxd)) for i in range(g.d)],
                 float(np.real(energy.sum() * dxd)),

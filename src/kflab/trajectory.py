@@ -69,8 +69,12 @@ class Trajectory:
     def slice_field(self, j: int) -> PhaseField:
         return PhaseField(self.grid, self.data[j])
 
-    def copy(self) -> "Trajectory":
-        return replace(self, data=self.data.copy())
+    def within(self, t_limit) -> np.ndarray:
+        """Indices of the samples with |t| <= t_limit (to rounding), every
+        index if t_limit is None: the window of an L2_T or sup_T norm."""
+        if t_limit is None:
+            return np.arange(self.n_samples)
+        return np.flatnonzero(np.abs(self.times) <= t_limit + 1e-12)
 
     def sup_l2(self) -> float:
         """sup over samples of the slice l2_n L2_v norm."""
@@ -98,6 +102,17 @@ def _trapz_weights(n: int, dt: float) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def _trapz_l2(sq_norms, dt: float) -> float:
+    """sqrt of the trapezoid time integral of per-slice squared norms
+    spaced dt, the weights taken over that run of slices (an L2_T norm
+    over Trajectory.within(T)).  A running float sum in sample order,
+    which the reported digits depend on."""
+    total = 0.0
+    for w, q in zip(_trapz_weights(len(sq_norms), dt), sq_norms):
+        total += w * q
+    return float(np.sqrt(total))
 
 
 def _tau_grid(n: int, dt: float) -> np.ndarray:

@@ -345,6 +345,20 @@ def test_missing_key_exit_1(tmp_path, monkeypatch, capsys):
     assert "missing key for linear-check: b" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, setting, message", [
+    # ran to the sweep cap (exit 2)
+    ("simulate", "tol=nan", "non-finite value 'nan' for simulate: tol"),
+    # switched the slope gate off (exit 0)
+    ("counting-check", "slope_max=inf", "non-finite value 'inf' for counting-check: slope_max"),
+    # a list entry
+    ("loss-check", "Ts=0.125,nan", "non-finite value 'nan' for loss-check: Ts"),
+])
+def test_non_finite_setting_exit_1(experiment, setting, message, tmp_path, capsys):
+    argv = [experiment, "--out-dir", str(tmp_path)] + _TINY_RUNS[experiment] + [setting]
+    assert run(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def _strict_json(path):
     def reject(name):
         raise ValueError(f"not JSON: {name}")

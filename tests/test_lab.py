@@ -244,3 +244,11 @@ def test_psi_delta_scaling_exponents():
     rep = psi_delta_scaling(b=0.55)
     assert rep.extra["slope_l2"] == pytest.approx(0.5, abs=0.05)
     assert rep.extra["slope_hdotb"] == pytest.approx(0.5 - 0.55, abs=0.05)
+
+
+def test_psi_delta_scaling_rejects_a_nan_norm(monkeypatch):
+    # a NaN norm gave a NaN slope, which linear-check read as a
+    # regression (exit 2), not an error (exit 1)
+    monkeypatch.setattr(lab, "psi_window_hb", lambda *args, **kw: float("nan"))
+    with pytest.raises(FloatingPointError, match="hdotb"):
+        psi_delta_scaling(b=0.55)

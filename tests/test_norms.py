@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kflab import (
     xsb_norm,
 )
 from kflab.propagator import _nv_dot
-from kflab.trajectory import time_dft, time_idft
+from kflab.trajectory import _trapz_l2, time_dft, time_idft
 
 
 def _grid():
@@ -206,6 +207,38 @@ def test_time_cutoff_plateau_support_double():
     assert np.all(cut.data[outer] == 0.0)
     with pytest.raises(ValueError):
         apply_time_cutoff(cut, "psi")
+
+
+def test_time_cutoff_peak_memory():
+    # the product alone; a copy of the input, thrown away for the
+    # product, peaked at 2x
+    g = make_grid(d=2, n_modes=8, v_points=16, v_extent=4.0)
+    traj = sample_free_evolution(random_field(g, seed=10), 4.0, 17)
+    apply_time_cutoff(traj, "psi")  # warm-up
+    tracemalloc.start()
+    try:
+        apply_time_cutoff(traj, "psi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * traj.data.nbytes
+
+
+def test_window_and_restricted_l2():
+    # samples spaced 0.3: t = -0.3 and 0.3 are a rounding off, and the
+    # window |t| <= 0.3 keeps both
+    traj = make_trajectory(_grid(), 0.9, 7)
+    assert list(traj.within(0.3)) == [2, 3, 4]
+    assert list(traj.within(None)) == list(range(7))
+    # trapezoid over the kept run: ends weigh dt/2
+    assert _trapz_l2([1.0, 4.0, 1.0], 0.5) == pytest.approx(np.sqrt(0.25 + 2.0 + 0.25))
+    # b4 of linear_xsb_checks: the L2_t H^{0,0} norm of a trajectory is its
+    # space-time L2 norm up to the (2 pi)^d Plancherel constant
+    free = sample_free_evolution(random_field(_grid(), seed=11), 1.0, 9)
+    sq = [sobolev_norm(free.slice_field(j), 0.0, 0.0) ** 2 for j in range(free.n_samples)]
+    assert (2.0 * np.pi) ** 2 * _trapz_l2(sq, free.dt) == pytest.approx(
+        l2_spacetime_norm(free), rel=1e-12
+    )
 
 
 def test_xsb_zero_indices_is_l2t():

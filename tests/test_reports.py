@@ -1,6 +1,7 @@
 """Report serialization: determinism, finiteness gate, file outputs."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ def test_validate_finite():
     rep2.add_row(np.inf)
     with pytest.raises(FloatingPointError):
         rep2.validate_finite()
+
+
+def test_finish_validates_and_times_from_construction():
+    rep = _report()
+    time.sleep(0.05)
+    assert rep.finish("N", "ratio") is rep
+    assert rep.wall_clock >= 0.05
+    rep.add_row(8, float("nan"))
+    rep.finish("N")
+    with pytest.raises(FloatingPointError, match="non-finite ratio in row 2"):
+        rep.finish("N", "ratio")
 
 
 def test_column_access():
