@@ -9,7 +9,8 @@ section; the same sections of the user config file, then KEY=VALUE (or
 --KEY VALUE) overrides, are layered on top.  A user section or key that
 the shipped file does not have is an error.  Output root resolution:
 --out-dir, else $KFL_OUT_DIR, else the configured out_dir.  Exit codes:
-0 pass, 2 bounded-ratio regression failure, 1 error.
+0 pass, 2 bounded-ratio regression failure, 1 error.  Gate settings are
+read before the experiment runs, so a malformed one writes nothing.
 """
 
 from __future__ import annotations
@@ -209,12 +210,8 @@ def _max_slope(report, x_col: str, group_col: str | None = None):
     return max(slopes) if slopes else None
 
 
-def _slope_gate(st: Settings, slope) -> int:
-    slope_max = float(st.get("slope_max"))  # read even when there is no slope
-    return 0 if slope is None or slope <= slope_max else 2
-
-
 def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
+    slope_max = float(st.get("slope_max"))
     grid, Ns, Ms = _grid_from(st), st.get_list("Ns"), st.get_list("Ms")
     report = lab.strichartz_scan(
         grid,
@@ -236,10 +233,11 @@ def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
                   for N, M, c in cells],
         "largest_field_mb": max(8 * int(np.prod(c.shape)) for _, _, c in cells) / 1e6,
     })
-    return _slope_gate(st, slope)
+    return 0 if slope is None or slope <= slope_max else 2
 
 
 def _run_bilinear(st: Settings, seed: int, out_dir: str) -> int:
+    swap_tol = float(st.get("swap_tol"))
     K1s, K2s = st.get_list("K1s"), st.get_list("K2s")
     if set(K1s) != set(K2s):
         # the gate compares each (K1, K2) ratio with its (K2, K1) swap
@@ -263,12 +261,13 @@ def _run_bilinear(st: Settings, seed: int, out_dir: str) -> int:
     defect = max(
         abs(v - by_key[(k2, k1, tr)]) for (k1, k2, tr), v in by_key.items()
     )
-    return 0 if defect <= float(st.get("swap_tol")) else 2
+    return 0 if defect <= swap_tol else 2
 
 
 def _run_estimate(st: Settings, seed: int, out_dir: str, check, **extra) -> int:
     """loss-check and gain-check: ``check`` over the (T, trial) sweep,
     failing when a positive ratio_cap is exceeded."""
+    cap = float(st.get("ratio_cap"))
     report = check(
         _grid_from(st),
         s=float(st.get("s")),
@@ -279,7 +278,6 @@ def _run_estimate(st: Settings, seed: int, out_dir: str, check, **extra) -> int:
         **extra,
     )
     report.write(out_dir)
-    cap = float(st.get("ratio_cap"))
     if cap > 0 and max(report.column("ratio")) > cap:
         return 2
     return 0
@@ -307,6 +305,7 @@ def _run_holder(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
+    tol, etol = float(st.get("b2_tol")), float(st.get("exponent_tol"))
     b = float(st.get("b"))
     report = lab.linear_xsb_checks(
         _grid_from(st),
@@ -322,8 +321,6 @@ def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
     scaling.write(out_dir)
     rows = {row[0]: row for row in report.rows}
     b2_err = abs(rows["b2"][3] - report.extra["b2_oracle"]) / report.extra["b2_oracle"]
-    tol = float(st.get("b2_tol"))
-    etol = float(st.get("exponent_tol"))
     ok = (
         b2_err <= tol
         and abs(scaling.extra["slope_l2"] - 0.5) <= etol
@@ -333,6 +330,7 @@ def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
+    slope_max = float(st.get("slope_max"))
     Ns, Ms, Ks = ([int(x) for x in st.get_list(k)] for k in ("Ns", "Ms", "Ks"))
     report = counting.counting_sweep(
         Ns=Ns,
@@ -344,11 +342,10 @@ def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
     report.write(out_dir)
     slope = _max_slope(report, "N")
     _write_json(out_dir, "counting_summary.json", {"max_ratio_slope_vs_N": slope})
-    return _slope_gate(st, slope)
+    return 0 if slope is None or slope <= slope_max else 2
 
 
 def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
-    # read before solving, so an unconverged run still checks them
     mass_tol, moment_tol = float(st.get("mass_tol")), float(st.get("moment_tol"))
     config, f0 = _solver_setup(st)
     traj, report = solver.duhamel_picard(f0, config)
@@ -366,13 +363,14 @@ def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_perturbation(st: Settings, seed: int, out_dir: str) -> int:
+    stability_factor = float(st.get("stability_factor"))
     config, f0 = _solver_setup(st)
     deltas = [float(x) for x in st.get_list("deltas")]
     report = solver.perturbation_experiment(f0, config, deltas=deltas, seed=seed)
     report.write(out_dir)
     ratios = report.column("ratio")
     factor = max(ratios) / min(ratios) if min(ratios) > 0 else np.inf
-    return 0 if factor <= float(st.get("stability_factor")) else 2
+    return 0 if factor <= stability_factor else 2
 
 
 # experiment -> (shipped sections read between [common] and its own, runner)

@@ -362,14 +362,16 @@ def bilinear_modulation_check(
     return report.finish("ratio")
 
 
-def _cutoff_free_trajectory(
-    grid: GridSpec, T: float, n_samples: int, seed
-) -> Trajectory:
-    """psi_T-cutoff free evolution of random multi-block data on the
-    window [-2T, 2T] (the support of psi_T)."""
-    phi = random_multiblock_field(grid, seed)
-    traj = sample_free_evolution(phi, 2.0 * T, n_samples)
-    return apply_time_cutoff(traj, "psi_T", T)
+def _cutoff_free_trajectory(phi: PhaseField, T: float, n_samples: int) -> Trajectory:
+    """psi_T-cutoff free evolution of phi on the window [-2T, 2T] (the
+    support of psi_T)."""
+    return apply_time_cutoff(sample_free_evolution(phi, 2.0 * T, n_samples), "psi_T", T)
+
+
+def _cutoff_free_slice(phi: PhaseField, t: float, psi_t: float) -> PhaseField:
+    """S(t) phi * psi_t: at a window time t and its psi(t / T), the slice
+    of _cutoff_free_trajectory(phi, T, ...) there, bit for bit."""
+    return PhaseField(phi.grid, _free_flow(phi.data, phi.grid, t) * psi_t)
 
 
 # window samples and modulation exponent of the loss/gain estimate checks
@@ -380,6 +382,10 @@ _ESTIMATE_B = 0.55
 def _bilinear_collision_check(
     name: str, apply_op, grid: GridSpec, s: float, r: float, Ts, trials: int, seed: int
 ) -> ExperimentReport:
+    """|apply_op(f, g)|_{L2_T H^{s,r}} against T^(1/4) |f|_X |g|_X for the
+    _cutoff_free_trajectory f, g of two multi-block fields.  Each window is
+    dropped after its xsb_norm; the operator runs on _cutoff_free_slice
+    fields, the windows' slices bit for bit."""
     n_samples, b = _ESTIMATE_SAMPLES, _ESTIMATE_B
     report = ExperimentReport(
         experiment=name,
@@ -391,13 +397,20 @@ def _bilinear_collision_check(
     params = NormParams(s=s, r=r, b=b)
     for T in Ts:
         for trial in range(trials):
-            f = _cutoff_free_trajectory(grid, T, n_samples, _trial_seed(seed, 0, trial, int(1e3 * T)))
-            g = _cutoff_free_trajectory(grid, T, n_samples, _trial_seed(seed, 1, trial, int(1e3 * T)))
+            fields = [random_multiblock_field(grid, _trial_seed(seed, k, trial, int(1e3 * T)))
+                      for k in (0, 1)]
+            rhs = T**0.25
+            for fld in fields:
+                traj = _cutoff_free_trajectory(fld, T, n_samples)
+                rhs *= xsb_norm(traj, params)
+                times, window, dt = traj.times, traj.within(T), traj.dt
+                del traj  # before the next window is built
+            prof = bump_psi(times / T)
             # L2 over |t| <= T of the operator's H^{s,r} norm
-            sq = [sobolev_norm(apply_op(f.slice_field(j), g.slice_field(j)), s, r) ** 2
-                  for j in f.within(T)]
-            lhs = _trapz_l2(sq, f.dt)
-            rhs = T**0.25 * xsb_norm(f, params) * xsb_norm(g, params)
+            sq = [sobolev_norm(apply_op(*(_cutoff_free_slice(fld, times[j], prof[j])
+                                          for fld in fields)), s, r) ** 2
+                  for j in window]
+            lhs = _trapz_l2(sq, dt)
             report.add_row(T, trial, lhs, rhs, lhs / rhs)
     return report.finish("ratio")
 
@@ -491,7 +504,9 @@ def linear_xsb_checks(
     report.add_row("b2", lhs, rhs, lhs / rhs)
     report.extra["b2_oracle"] = oracle
 
-    forcing = _cutoff_free_trajectory(grid, t_half / 4.0, n_samples, _trial_seed(seed, 1))
+    forcing = _cutoff_free_trajectory(
+        random_multiblock_field(grid, _trial_seed(seed, 1)), t_half / 4.0, n_samples
+    )
     dh = duhamel_integral(forcing)
     dh = apply_time_cutoff(dh, "psi")
     lhs3 = xsb_norm(dh, params)

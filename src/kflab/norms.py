@@ -158,11 +158,15 @@ def xsb_norm(traj: Trajectory, params: NormParams) -> float:
         raise ValueError("apply a time cutoff before taking the restriction norm")
     g = traj.grid
     tau, coeffs = time_dft(traj)
+    # the bits of wt[ext] * w[None] * np.abs(coeffs) ** 2, in |coeffs|'s array
+    mag2 = np.abs(coeffs)
+    del coeffs
+    np.square(mag2, out=mag2)
     wt = bracket(tau) ** (2.0 * params.b)
     w = _sobolev_weight(g, params.s, params.r)
     ext = (...,) + (None,) * (2 * g.d)
-    total = np.sum(wt[ext] * w[None] * np.abs(coeffs) ** 2)
-    return float(np.sqrt(g.dv**g.d * total))
+    np.multiply(wt[ext] * w[None], mag2, out=mag2)
+    return float(np.sqrt(g.dv**g.d * np.sum(mag2)))
 
 
 def time_profile_hb(

@@ -173,6 +173,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
     psi_t = bump_psi(times / T)
     ext = (...,) + (None,) * (2 * g.d)
     linear = psi[ext] * free.data
+    del free
 
     report = IterationReport(t_final=T, realness_defect=conjugate_symmetry_defect(f0))
     report.collision_x_sizes = list(_padded_sizes(g, True))
@@ -182,13 +183,18 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
         t_sweep = time.perf_counter()
         active = (psi_t != 0.0) & np.any(cur.data.reshape(n_samples, -1), axis=1)
         report.gain_cache.append(_gain_cache_path(g, config.quad))
+        # each window-sized array is dropped once used, before the next sweep
         q_all = collide_trajectory(cur.data, g, config.quad, active=active)
-        forcing = Trajectory(g, 2.0 * T, psi_t[ext] * q_all)
-        dh = duhamel_integral(forcing)
-        new = Trajectory(g, 2.0 * T, linear + psi[ext] * dh.data, cutoff="psi")
+        q_all *= psi_t[ext]
+        new = duhamel_integral(Trajectory(g, 2.0 * T, q_all))
+        del q_all
+        new.data *= psi[ext]
+        new.data += linear
+        new.cutoff = "psi"
         diff = Trajectory(g, 2.0 * T, new.data - cur.data, cutoff="psi")
         report.deltas_sup.append(diff.sup_l2())
         report.deltas_x.append(xsb_norm(diff, config.params))
+        del diff
         report.sweep_wall_s.append(time.perf_counter() - t_sweep)
         cur = new
         if report.deltas_sup[-1] <= config.tol:

@@ -130,9 +130,12 @@ def time_dft(traj: Trajectory) -> tuple:
     g = traj.grid
     w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
-    u = w[ext] * _free_flow(traj.data, g, -traj.times)
-    big = np.fft.fft(u, axis=0) / np.sqrt(traj.n_samples)
-    return _tau_grid(traj.n_samples, traj.dt), big
+    # one window-sized array, weighted, transformed and scaled in place
+    u = _free_flow(traj.data, g, -traj.times)
+    u *= w[ext]
+    np.fft.fft(u, axis=0, out=u)
+    u /= np.sqrt(traj.n_samples)
+    return _tau_grid(traj.n_samples, traj.dt), u
 
 
 def time_idft(traj: Trajectory, coeffs: np.ndarray) -> Trajectory:

@@ -390,3 +390,22 @@ def test_bilinear_unequal_k_lists_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "K1s" in err and "K2s" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, setting", [
+    ("strichartz-scan", "slope_max=abc"),
+    ("counting-check", "slope_max=abc"),
+    ("loss-check", "ratio_cap=abc"),
+    ("gain-check", "ratio_cap=abc"),
+    ("bilinear-check", "swap_tol=abc"),
+    ("linear-check", "b2_tol=abc"),
+    ("linear-check", "exponent_tol=abc"),
+    ("perturbation-check", "stability_factor=abc"),
+])
+def test_malformed_gate_setting_exit_1_before_running(experiment, setting, tmp_path, capsys):
+    # a gate setting is read before the experiment runs: nothing is written
+    out = tmp_path / "out"
+    argv = [experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment] + [setting]
+    assert run(argv) == 1
+    assert "abc" in capsys.readouterr().err
+    assert not out.exists()

@@ -26,6 +26,7 @@ from kflab import (
 )
 from kflab import lab
 from kflab.lab import _draw_block, _free_l4_norm
+from kflab.lp import bump_psi
 from kflab.norms import _slice_l4_xi_4
 from kflab.propagator import _nv_dot
 from kflab.trajectory import _trapz_weights
@@ -160,6 +161,32 @@ def test_free_l4_norm_peak_memory():
     data = random_block_field(g, 8, 4, 0).data.astype(np.complex64)
     _free_l4_norm(g, data, 0.5, 3)  # warm-up
     assert _traced_peak(lambda: _free_l4_norm(g, data, 0.5, 3)) <= 1.6 * data.nbytes
+
+
+def test_cutoff_free_slice_matches_the_window():
+    # the estimate checks' per-slice fields are the window's slices, bit
+    # for bit, so dropping the window leaves every CSV digit in place
+    for g in (make_grid(d=2, n_modes=8, v_points=8, v_extent=4.0),
+              make_grid(d=3, n_modes=4, v_points=4, v_extent=2.0)):
+        phi = lab.random_multiblock_field(g, 5)
+        T = 0.125
+        traj = lab._cutoff_free_trajectory(phi, T, 17)
+        prof = bump_psi(traj.times / T)
+        for j in range(traj.n_samples):
+            cut = lab._cutoff_free_slice(phi, traj.times[j], prof[j])
+            assert cut.data.tobytes() == traj.data[j].tobytes(), (g.d, j)
+
+
+def test_loss_check_holds_one_window_at_a_time():
+    # one 4.5 MB window: its restriction norm holds it, its time-DFT and
+    # |DFT|^2 (2.5 windows, 2.62 measured with the two drawn fields);
+    # holding the other window too, as the two-trajectory check did
+    # (4.03 measured), adds at least one.  Bound: 3 windows.
+    g = make_grid(d=2, n_modes=8, v_points=16, v_extent=4.0)
+    window = 16 * lab._ESTIMATE_SAMPLES * int(np.prod(g.shape))
+    loss_estimate_check(g, 0.3, 1.0, [0.125], 1, 0)  # warm-up
+    peak = _traced_peak(lambda: loss_estimate_check(g, 0.3, 1.0, [0.125], 1, 1))
+    assert peak <= 3.0 * window
 
 
 def test_slice_l4_d3_peak_memory():

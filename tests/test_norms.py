@@ -224,6 +224,23 @@ def test_time_cutoff_peak_memory():
     assert peak <= 1.25 * traj.data.nbytes
 
 
+def test_xsb_peak_memory():
+    # the time-DFT in one array (1x) and |DFT|^2 in float64 (0.5x),
+    # 1.50x measured; separate weighted, transformed and scaled copies
+    # peaked at 2.02x
+    g = make_grid(d=2, n_modes=8, v_points=16, v_extent=4.0)
+    traj = apply_time_cutoff(sample_free_evolution(random_field(g, seed=12), 2.0, 33), "psi")
+    params = NormParams(0.3, 1.0, 0.55)
+    xsb_norm(traj, params)  # warm-up
+    tracemalloc.start()
+    try:
+        xsb_norm(traj, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * traj.data.nbytes
+
+
 def test_window_and_restricted_l2():
     # samples spaced 0.3: t = -0.3 and 0.3 are a rounding off, and the
     # window |t| <= 0.3 keeps both
