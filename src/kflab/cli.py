@@ -9,8 +9,10 @@ section; the same sections of the user config file, then KEY=VALUE (or
 --KEY VALUE) overrides, are layered on top.  A user section or key that
 the shipped file does not have is an error.  Output root resolution:
 --out-dir, else $KFL_OUT_DIR, else the configured out_dir.  Exit codes:
-0 pass, 2 bounded-ratio regression failure, 1 error.  Gate settings are
-read before the experiment runs, so a malformed one writes nothing.
+0 pass, 2 bounded-ratio regression failure, 1 error.  A key's type is
+its shipped value's (int, float or str; a list is comma-separated); a
+mistyped, empty or non-finite entry is an error naming EXPERIMENT: KEY.
+Gate settings are read before the run, so a malformed one writes nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from importlib import resources
 import numpy as np
 
 from . import counting, lab, solver
+from .collision import sphere_quadrature
 from .grid import make_grid, save_field
 
 
@@ -54,26 +57,16 @@ def _load_config(config_path: str | None) -> list:
     return [shipped, user]
 
 
-def _parse_value(raw: str):
-    """bool, int, float, str, or a list of them; a number that is not
-    finite (nan, inf) is a ValueError."""
-    raw = raw.strip()
-    if "," in raw:
-        return [_parse_value(t) for t in raw.split(",") if t.strip()]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        value = float(raw)
-    except ValueError:
-        return raw
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {raw!r}")
-    return value
+def _kind(raw: str) -> type:
+    """int if every comma entry of ``raw`` parses as an int, else float if
+    they all parse as floats, else str."""
+    for kind in (int, float):
+        try:
+            [kind(entry) for entry in raw.split(",")]
+        except ValueError:
+            continue
+        return kind
+    return str
 
 
 def _collect_overrides(tokens: list) -> dict:
@@ -113,39 +106,47 @@ class Settings:
                 if layer.has_section(name):
                     self.values.update(layer[name])
         self.values.update(overrides)
-        known = {key for name in names for key in cfg[0][name]}
-        unknown = sorted(set(self.values) - known)
+        # a key's kind is that of its shipped value
+        self.kinds = {key: _kind(raw) for name in names for key, raw in cfg[0][name].items()}
+        unknown = sorted(set(self.values) - set(self.kinds))
         if unknown:
             raise ValueError(f"unknown key(s) for {section}: {', '.join(unknown)}")
 
-    def get(self, key: str):
-        """The parsed value of ``key``; a missing key or a non-finite
-        number is a ValueError naming it."""
+    def get_list(self, key: str) -> list:
+        """The comma entries of ``key``, each converted to the kind of its
+        shipped value; a missing key, an empty entry, an entry of another
+        kind or a non-finite number is a ValueError naming the key."""
         if key not in self.values:
             raise ValueError(f"missing key for {self.section}: {key}")
-        try:
-            return _parse_value(self.values[key])
-        except ValueError as exc:
-            raise ValueError(f"{exc} for {self.section}: {key}") from None
+        kind = self.kinds[key]
+        where = f"for {self.section}: {key}"
+        out = []
+        for entry in (e.strip() for e in self.values[key].split(",")):
+            if not entry:
+                raise ValueError(f"empty entry {where}")
+            try:
+                value = kind(entry)
+            except ValueError:
+                raise ValueError(f"not {kind.__name__} {entry!r} {where}") from None
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"non-finite value {entry!r} {where}")
+            out.append(value)
+        return out
 
-    def get_list(self, key: str) -> list:
-        v = self.get(key)
-        return v if isinstance(v, list) else [v]
+    def get(self, key: str):
+        """The one value of ``key``, as ``get_list`` converts it."""
+        values = self.get_list(key)
+        if len(values) != 1:
+            raise ValueError(f"one value needed for {self.section}: {key}")
+        return values[0]
 
 
 def _grid_from(st: Settings):
-    return make_grid(
-        int(st.get("d")),
-        int(st.get("n_modes")),
-        float(st.get("v_extent")),
-        int(st.get("v_points")),
-    )
+    return make_grid(st.get("d"), st.get("n_modes"), st.get("v_extent"), st.get("v_points"))
 
 
 def _quadrature(st: Settings):
-    from .collision import sphere_quadrature
-
-    return sphere_quadrature(int(st.get("d")), int(st.get("nodes")))
+    return sphere_quadrature(st.get("d"), st.get("nodes"))
 
 
 def _solver_setup(st: Settings) -> tuple:
@@ -153,14 +154,13 @@ def _solver_setup(st: Settings) -> tuple:
     grid = _grid_from(st)
     config = solver.SolverConfig(
         grid=grid,
-        T=float(st.get("T")),
-        dt=float(st.get("dt")),
+        T=st.get("T"),
+        dt=st.get("dt"),
         quad=_quadrature(st),
-        max_picard=int(st.get("max_picard")),
-        tol=float(st.get("tol")),
+        max_picard=st.get("max_picard"),
+        tol=st.get("tol"),
     )
-    mode = tuple(int(m) for m in st.get_list("mode"))
-    return config, solver.maxwellian_perturbed(grid, float(st.get("eps")), mode)
+    return config, solver.maxwellian_perturbed(grid, st.get("eps"), tuple(st.get_list("mode")))
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
@@ -173,7 +173,7 @@ def _write_json(out_dir: str, name: str, payload: dict) -> str:
 
 
 def _run_simulate(st: Settings, seed: int, out_dir: str) -> int:
-    stride = int(st.get("snapshot_stride"))
+    stride = st.get("snapshot_stride")
     if stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
     config, f0 = _solver_setup(st)
@@ -211,16 +211,16 @@ def _max_slope(report, x_col: str, group_col: str | None = None):
 
 
 def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
-    slope_max = float(st.get("slope_max"))
+    slope_max = st.get("slope_max")
     grid, Ns, Ms = _grid_from(st), st.get_list("Ns"), st.get_list("Ms")
     report = lab.strichartz_scan(
         grid,
         Ns=Ns,
         Ms=Ms,
-        trials=int(st.get("trials")),
-        T=float(st.get("T")),
+        trials=st.get("trials"),
+        T=st.get("T"),
         seed=seed,
-        n_time=int(st.get("n_time")),
+        n_time=st.get("n_time"),
     )
     report.write(out_dir)
     slope = _max_slope(report, "N", "M")
@@ -237,21 +237,21 @@ def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_bilinear(st: Settings, seed: int, out_dir: str) -> int:
-    swap_tol = float(st.get("swap_tol"))
+    swap_tol = st.get("swap_tol")
     K1s, K2s = st.get_list("K1s"), st.get_list("K2s")
     if set(K1s) != set(K2s):
         # the gate compares each (K1, K2) ratio with its (K2, K1) swap
         raise ValueError(f"K1s and K2s must hold the same values, got {K1s} and {K2s}")
     report = lab.bilinear_modulation_check(
         _grid_from(st),
-        N=int(st.get("N")),
-        M=int(st.get("M")),
+        N=st.get("N"),
+        M=st.get("M"),
         K1s=K1s,
         K2s=K2s,
-        trials=int(st.get("trials")),
+        trials=st.get("trials"),
         seed=seed,
-        t_half=float(st.get("t_half")),
-        n_samples=int(st.get("n_samples")),
+        t_half=st.get("t_half"),
+        n_samples=st.get("n_samples"),
     )
     report.write(out_dir)
     by_key = {}
@@ -267,13 +267,13 @@ def _run_bilinear(st: Settings, seed: int, out_dir: str) -> int:
 def _run_estimate(st: Settings, seed: int, out_dir: str, check, **extra) -> int:
     """loss-check and gain-check: ``check`` over the (T, trial) sweep,
     failing when a positive ratio_cap is exceeded."""
-    cap = float(st.get("ratio_cap"))
+    cap = st.get("ratio_cap")
     report = check(
         _grid_from(st),
-        s=float(st.get("s")),
-        r=float(st.get("r")),
+        s=st.get("s"),
+        r=st.get("r"),
         Ts=st.get_list("Ts"),
-        trials=int(st.get("trials")),
+        trials=st.get("trials"),
         seed=seed,
         **extra,
     )
@@ -294,9 +294,9 @@ def _run_gain(st: Settings, seed: int, out_dir: str) -> int:
 def _run_holder(st: Settings, seed: int, out_dir: str) -> int:
     report = lab.holder_gain_check(
         _grid_from(st),
-        p=float(st.get("p")),
-        q=float(st.get("q")),
-        trials=int(st.get("trials")),
+        p=st.get("p"),
+        q=st.get("q"),
+        trials=st.get("trials"),
         seed=seed,
         quad=_quadrature(st),
     )
@@ -305,16 +305,16 @@ def _run_holder(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
-    tol, etol = float(st.get("b2_tol")), float(st.get("exponent_tol"))
-    b = float(st.get("b"))
+    tol, etol = st.get("b2_tol"), st.get("exponent_tol")
+    b = st.get("b")
     report = lab.linear_xsb_checks(
         _grid_from(st),
-        s=float(st.get("s")),
-        r=float(st.get("r")),
+        s=st.get("s"),
+        r=st.get("r"),
         b=b,
         seed=seed,
-        t_half=float(st.get("t_half")),
-        n_samples=int(st.get("n_samples")),
+        t_half=st.get("t_half"),
+        n_samples=st.get("n_samples"),
     )
     report.write(out_dir)
     scaling = lab.psi_delta_scaling(b=b)
@@ -330,13 +330,12 @@ def _run_linear(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
-    slope_max = float(st.get("slope_max"))
-    Ns, Ms, Ks = ([int(x) for x in st.get_list(k)] for k in ("Ns", "Ms", "Ks"))
+    slope_max = st.get("slope_max")
     report = counting.counting_sweep(
-        Ns=Ns,
-        Ms=Ms,
-        Ks=Ks,
-        queries_per_cell=int(st.get("queries_per_cell")),
+        Ns=st.get_list("Ns"),
+        Ms=st.get_list("Ms"),
+        Ks=st.get_list("Ks"),
+        queries_per_cell=st.get("queries_per_cell"),
         seed=seed,
     )
     report.write(out_dir)
@@ -346,7 +345,7 @@ def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
-    mass_tol, moment_tol = float(st.get("mass_tol")), float(st.get("moment_tol"))
+    mass_tol, moment_tol = st.get("mass_tol"), st.get("moment_tol")
     config, f0 = _solver_setup(st)
     traj, report = solver.duhamel_picard(f0, config)
     cons = solver.conservation_drift(traj, t_limit=report.t_final)
@@ -363,9 +362,9 @@ def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:
 
 
 def _run_perturbation(st: Settings, seed: int, out_dir: str) -> int:
-    stability_factor = float(st.get("stability_factor"))
+    stability_factor = st.get("stability_factor")
     config, f0 = _solver_setup(st)
-    deltas = [float(x) for x in st.get_list("deltas")]
+    deltas = st.get_list("deltas")
     report = solver.perturbation_experiment(f0, config, deltas=deltas, seed=seed)
     report.write(out_dir)
     ratios = report.column("ratio")
@@ -401,8 +400,8 @@ def run(argv=None) -> int:
     try:
         overrides = _collect_overrides(rest)
         st = Settings(_load_config(args.config), args.experiment, overrides)
-        seed = args.seed if args.seed is not None else int(st.get("seed"))
-        out_dir = args.out_dir or os.environ.get("KFL_OUT_DIR") or str(st.get("out_dir"))
+        seed = args.seed if args.seed is not None else st.get("seed")
+        out_dir = args.out_dir or os.environ.get("KFL_OUT_DIR") or st.get("out_dir")
         return _RUNNERS[args.experiment][1](st, seed, out_dir)
     except (ValueError, FileNotFoundError, FloatingPointError, RuntimeError, KeyError) as exc:
         print(f"kflab: error: {exc}", file=sys.stderr)

@@ -499,6 +499,7 @@ def linear_xsb_checks(
     phi = random_field(grid, rng_seq)
     free = apply_time_cutoff(sample_free_evolution(phi, t_half, n_samples), "psi")
     lhs = xsb_norm(free, params)
+    del free
     rhs = sobolev_norm(phi, s, r)
     oracle = psi_window_hb(t_half, n_samples, b)
     report.add_row("b2", lhs, rhs, lhs / rhs)

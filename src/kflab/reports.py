@@ -76,8 +76,11 @@ class ExperimentReport:
             )
 
     def finish(self, *columns) -> "ExperimentReport":
-        """End the run: validate_finite on each named column, then record
-        the wall clock since the report was built; returns the report."""
+        """End the run: a report with no rows is a ValueError naming the
+        experiment; validate_finite on each named column, then record the
+        wall clock since the report was built; returns the report."""
+        if not self.rows:
+            raise ValueError(f"{self.experiment}: the sweep has no rows")
         for name in columns:
             self.validate_finite(name)
         self.wall_clock = time.time() - self._started

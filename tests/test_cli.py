@@ -223,15 +223,15 @@ def keys_read(request, tmp_path_factory):
     """(experiment, the keys its small run reads), one run per experiment
     shared by the tests below."""
     experiment, read = request.param, set()
-    get = Settings.get
+    get_list = Settings.get_list
 
     def spy(self, key):
         read.add(key)
-        return get(self, key)
+        return get_list(self, key)
 
     out = tmp_path_factory.mktemp(experiment)
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()) as err:
-        mp.setattr(Settings, "get", spy)
+        mp.setattr(Settings, "get_list", spy)
         code = run([experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment])
     assert code != 1, err.getvalue()
     return experiment, read
@@ -408,4 +408,54 @@ def test_malformed_gate_setting_exit_1_before_running(experiment, setting, tmp_p
     argv = [experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment] + [setting]
     assert run(argv) == 1
     assert "abc" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, setting, message", [
+    # ran with n_modes=8 and T = 1.0 (exit 0)
+    ("strichartz-scan", "n_modes=8.9", "not int '8.9' for strichartz-scan: n_modes"),
+    ("strichartz-scan", "T=true", "not float 'true' for strichartz-scan: T"),
+    # ran 1 query per cell
+    ("counting-check", "queries_per_cell=1.9",
+     "not int '1.9' for counting-check: queries_per_cell"),
+    # wrote an N=8 row
+    ("counting-check", "Ns=8.5", "not int '8.5' for counting-check: Ns"),
+    # gated at 1.0
+    ("counting-check", "slope_max=true", "not float 'true' for counting-check: slope_max"),
+    # wrote a header-only CSV, or dropped the empty entry
+    ("counting-check", "Ns=,", "empty entry for counting-check: Ns"),
+    ("counting-check", "Ns=8,", "empty entry for counting-check: Ns"),
+    # a TypeError traceback
+    ("simulate", "T=0.0625,0.125", "one value needed for simulate: T"),
+    # named no key
+    ("loss-check", "ratio_cap=abc", "not float 'abc' for loss-check: ratio_cap"),
+])
+def test_mistyped_setting_exit_1(experiment, setting, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment] + [setting]
+    assert run(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_has_its_shipped_type():
+    # Ts ships as floats, so an integer entry is read as a float; seed
+    # ships as an int, out_dir as text
+    st = Settings(_load_config(None), "loss-check", {"Ts": "1, 0.5", "seed": "7"})
+    assert [type(t) for t in st.get_list("Ts")] == [float, float]
+    assert st.get("seed") == 7 and st.get("out_dir") == "kflab_out"
+    assert st.get("ratio_cap") == 0.0 and type(st.get("ratio_cap")) is float
+
+
+@pytest.mark.parametrize("experiment, setting", [
+    ("counting-check", "queries_per_cell=0"),
+    ("strichartz-scan", "trials=0"),
+    ("gain-check", "trials=0"),
+])
+def test_sweep_with_no_rows_exit_1(experiment, setting, tmp_path, capsys):
+    # each wrote a header-only CSV and exited 0
+    out = tmp_path / "out"
+    argv = [experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment] + [setting]
+    assert run(argv) == 1
+    assert f"{experiment}: the sweep has no rows" in capsys.readouterr().err
     assert not out.exists()

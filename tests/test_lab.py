@@ -189,6 +189,18 @@ def test_loss_check_holds_one_window_at_a_time():
     assert peak <= 3.0 * window
 
 
+def test_linear_check_drops_the_b2_window():
+    # one 8.65 MB window: the b2 window is dropped once its restriction
+    # norm is taken, so b3 holds the forcing, the Duhamel window and a
+    # restriction norm's transients (3.53 windows measured); keeping the
+    # b2 window through b3 and b4 peaks at 4.53.  Bound: 4 windows.
+    g = make_grid(d=2, n_modes=8, v_points=16, v_extent=4.0)
+    window = 16 * 33 * int(np.prod(g.shape))
+    linear_xsb_checks(g, 0.0, 0.0, 0.55, 0, 2.0, 33)  # warm-up
+    peak = _traced_peak(lambda: linear_xsb_checks(g, 0.0, 0.0, 0.55, 1, 2.0, 33))
+    assert peak <= 4.0 * window
+
+
 def test_slice_l4_d3_peak_memory():
     # in d = 3 the quartic slice streams rows over every x-axis but the
     # last, so its temporaries are a few padded rows; streaming over x_1

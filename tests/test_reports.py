@@ -58,6 +58,11 @@ def test_validate_finite():
         rep2.validate_finite()
 
 
+def test_finish_rejects_a_report_without_rows():
+    with pytest.raises(ValueError, match="demo: the sweep has no rows"):
+        ExperimentReport(experiment="demo", columns=["ratio"]).finish("ratio")
+
+
 def test_finish_validates_and_times_from_construction():
     rep = _report()
     time.sleep(0.05)
