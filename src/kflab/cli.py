@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import counting, lab, solver
+from . import counting, lab, norms, solver
 from .collision import sphere_quadrature
 from .grid import make_grid, save_field
 
@@ -225,13 +225,16 @@ def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
     report.write(out_dir)
     slope = _max_slope(report, "N", "M")
     # the grid of every cell, and the complex64 field of the largest,
-    # which the scan draws and runs its L4 time loop on
+    # which the scan draws and runs its L4 time loop on; the threads a
+    # large cell's L4 phase runs on, and how many cells ran on them
     cells = [(N, M, lab._cell_grid(grid, N, M)) for N in Ns for M in Ms]
     _write_json(out_dir, "strichartz_summary.json", {
         "max_slope_vs_N": slope,
         "cells": [{"N": N, "M": M, "n_modes": c.n_modes, "v_points": c.v_points}
                   for N, M, c in cells],
         "largest_field_mb": max(8 * int(np.prod(c.shape)) for _, _, c in cells) / 1e6,
+        "l4_workers": norms._l4_workers(),
+        "l4_split_cells": sum(norms._slice_workers(c) > 1 for _, _, c in cells),
     })
     return 0 if slope is None or slope <= slope_max else 2
 

@@ -39,6 +39,7 @@ from .norms import (
     time_profile_hb,
     xsb_norm,
     _slice_l4_xi_4,
+    _slice_workers,
 )
 from .propagator import _free_flow
 from .reports import ExperimentReport
@@ -69,10 +70,16 @@ __all__ = [
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    """Least-squares slope of log(y) against log(x); every x and y must
+    be positive and finite, so a slope gate never reads NaN."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    for name, vals in (("x", xs), ("y", ys)):
+        if not np.all(np.isfinite(vals) & (vals > 0)):
+            raise ValueError(
+                f"log-log slope needs positive finite {name} values, got {vals.tolist()}"
+            )
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 def _trial_seed(root, *key) -> np.random.SeedSequence:
@@ -213,13 +220,21 @@ def _free_l4_norm(grid: GridSpec, data: np.ndarray, t_half: float, n_time: int) 
     speed) keep single precision, complex128 data (the gauge-identity
     regression) double.  Each slice is propagator._free_flow of the data
     into one reused buffer, so no full-grid phase is built and the
-    working set is data plus one slice plus one padded x-row.
+    working set is data plus one slice plus one padded row per
+    _slice_l4_xi_4 worker, at most two.  The x-synthesis runs on as many
+    threads as the slice (_slice_workers); pocketfft splits it by lines,
+    so its bits do not depend on the count.
     """
     from scipy import fft as sfft
 
+    if not t_half > 0 or n_time < 2:
+        raise ValueError(
+            f"the L4 time window needs T > 0 and n_time >= 2, got T={t_half}, n_time={n_time}"
+        )
     d = grid.d
     dt = 2.0 * t_half / (n_time - 1)
     tw = _trapz_weights(n_time, dt)
+    workers = _slice_workers(grid)
     slice_data = np.empty_like(data)
     total = 0.0
     for j in range(n_time):
@@ -227,7 +242,8 @@ def _free_l4_norm(grid: GridSpec, data: np.ndarray, t_half: float, n_time: int) 
         _free_flow(data, grid, t, out=slice_data)
         # slice_data is refilled from data on every slice, so the
         # x-synthesis may overwrite it
-        vals = sfft.ifftn(slice_data, axes=grid.n_axes, norm="forward", overwrite_x=True)
+        vals = sfft.ifftn(slice_data, axes=grid.n_axes, norm="forward",
+                          overwrite_x=True, workers=workers)
         total += tw[j] * grid.dx**d * _slice_l4_xi_4(vals, grid)
     return float(total**0.25)
 
@@ -543,8 +559,10 @@ def psi_delta_scaling(b: float) -> ExperimentReport:
         l2 = time_profile_hb(prof, t_half, 0.0)
         hb = psi_window_hb(t_half, n_samples, b, delta=d, homogeneous=True)
         report.add_row(float(d), l2, hb)
+    # a NaN norm is a FloatingPointError naming its column, before the fit
+    report.finish("l2", "hdotb")
     report.extra["slope_l2"] = loglog_slope(report.column("delta"), report.column("l2"))
     report.extra["slope_hdotb"] = loglog_slope(
         report.column("delta"), report.column("hdotb")
     )
-    return report.finish("l2", "hdotb")
+    return report

@@ -12,6 +12,7 @@ time integral is trapezoidal.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +73,26 @@ def sobolev_norm(fld: PhaseField, s: float, r: float) -> float:
     return float(np.sqrt(g.dv**g.d * np.sum(w * np.abs(fld.data) ** 2)))
 
 
+# a padded row of fewer values is reduced on one thread: below this the
+# second worker costs more than it saves
+_SPLIT_VALUES = 2**15
+_POOL = None  # the second L4 worker, created on first use
+
+
+def _l4_workers() -> int:
+    """Threads for the L4 kernels: two where the process may run on two
+    cores or more, else one."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _slice_workers(grid) -> int:
+    """Threads _slice_l4_xi_4 splits a slice's rows between on grid."""
+    row = grid.mode_counts[-1] * (2 * grid.v_points) ** grid.d
+    return _l4_workers() if row >= _SPLIT_VALUES else 1
+
+
 def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:
     """sum over x-nodes of the exact integral of |ftil(x, .)|^4 over the
     xi-torus, from x-space values fld_data (x.., v..).
@@ -82,41 +103,80 @@ def _slice_l4_xi_4(fld_data: np.ndarray, grid) -> float:
     lab._free_l4_norm takes from its data: complex64 input stays single
     precision, the scan's speed; the quartic sum accumulates in float64.
     Works one row at a time, a row being fixed indices on every x-axis
-    but the last, so temporaries are the size of one padded row
-    (n_modes * (2 v_points)^d values) in any d.
+    but the last.  Rows of _SPLIT_VALUES padded values or more are split
+    between _slice_workers threads, row i to worker i mod 2.  Each
+    worker owns one padded row (n_modes * (2 v_points)^d values) and a
+    |z|^2 scratch, half the row's bytes on one thread and a sixteenth
+    with two, so the working set is one padded row per worker, at most
+    two (2.125 rows with the scratch), in any d.  Each row's float64
+    total is kept and the totals are added in row order, so the result
+    does not depend on the split.
 
-    Each row goes into the leading P^d block of one zeroed padded buffer,
+    Each row goes into the leading P^d block of a zeroed padded buffer,
     and the v-axes are transformed in place, last axis first, each over
     the extent that is not yet all zero: the axis about to be transformed
     gets its pad region re-zeroed, the later axes are full, the earlier
-    ones still hold only their first P entries.
+    ones still hold only their first P entries.  |z|^2 is then formed in
+    the buffer's own bytes: re and im are squared in place, and each
+    block of planes' re^2 + im^2 is widened to float64 into the front of
+    the buffer (complex64: each value's own 8 bytes), where einsum reads
+    it as one contiguous array.
     """
     from scipy import fft as sfft
 
     d, p = grid.d, grid.v_points
     dtype = np.complex64 if fld_data.dtype == np.complex64 else np.complex128
     rows = fld_data.reshape((-1,) + fld_data.shape[d - 1 :])
-    buf = np.zeros(rows.shape[1:2] + (2 * p,) * d, dtype=dtype)
     lead = (slice(None),) + (slice(0, p),) * d
-    mag2 = np.empty(buf.shape, dtype=np.finfo(dtype).dtype)
-    im2 = np.empty_like(mag2)
-    flat = mag2.ravel()
+    sums = np.empty(len(rows))
+    workers = _slice_workers(grid)
+
+    def reduce_rows(first: int) -> None:
+        buf = np.zeros(rows.shape[1:2] + (2 * p,) * d, dtype=dtype)
+        parts = buf.view(np.finfo(dtype).dtype)  # re, im interleaved
+        flat = buf.view(np.float64).reshape(-1)[: buf.size]
+        mag2 = flat.reshape(buf.shape)
+        # re^2 + im^2 scratch, in planes: the whole row on one thread (half
+        # the row's bytes), an eighth of it when two workers share the
+        # two-row budget
+        block = len(buf) if workers == 1 else -(-len(buf) // 8)
+        sq = np.empty((block,) + buf.shape[1:], dtype=parts.dtype)
+        for i in range(first, len(rows), workers):
+            buf[lead] = rows[i]
+            for ax in reversed(range(1, d + 1)):
+                buf[lead[:ax] + (slice(p, None),)] = 0
+                view = buf[lead[:ax]]
+                out = sfft.fft(view, axis=ax, overwrite_x=True)
+                # overwrite_x permits, but does not promise, an in-place result
+                if not np.shares_memory(out, view):
+                    view[...] = out
+            np.multiply(parts, parts, out=parts)
+            # mag2's planes [k, k + block) lie in buf's planes < k + block,
+            # which are already summed
+            for k in range(0, len(buf), block):
+                pairs = parts[k : k + block]
+                np.add(pairs[..., 0::2], pairs[..., 1::2], out=sq[: len(pairs)])
+                mag2[k : k + block] = sq[: len(pairs)]
+            # einsum's dot product, not BLAS ddot: threaded ddot stalls when
+            # another process holds the second core
+            sums[i] = np.einsum("i,i->", flat, flat, dtype=np.float64)
+
+    if workers == 1:
+        reduce_rows(0)
+    else:
+        global _POOL
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(max_workers=1)
+        job = _POOL.submit(reduce_rows, 1)
+        try:
+            reduce_rows(0)
+        finally:
+            job.result()
     total = 0.0
-    for row in rows:
-        buf[lead] = row
-        for ax in reversed(range(1, d + 1)):
-            buf[lead[:ax] + (slice(p, None),)] = 0
-            view = buf[lead[:ax]]
-            out = sfft.fft(view, axis=ax, overwrite_x=True)
-            # overwrite_x permits, but does not promise, an in-place result
-            if not np.shares_memory(out, view):
-                view[...] = out
-        np.multiply(buf.real, buf.real, out=mag2)
-        np.multiply(buf.imag, buf.imag, out=im2)
-        mag2 += im2
-        # einsum's dot product, not BLAS ddot: threaded ddot stalls when
-        # another process holds the second core
-        total += float(np.einsum("i,i->", flat, flat, dtype=np.float64))
+    for s in sums.tolist():  # in row order, as one thread adds them
+        total += s
     refined_dxi = grid.dxi / 2.0
     return float(refined_dxi**d * grid.dv ** (4 * d) * total)
 

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from kflab import cli, counting, lab, solver
+from kflab import cli, counting, lab, norms, solver
 from kflab.cli import _RUNNERS, Settings, _load_config, run
 
 
@@ -260,6 +260,23 @@ def test_only_the_strichartz_fft_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_counting_starts_no_thread(tmp_path):
+    # a fresh interpreter: a small counting-check starts no thread and
+    # loads no thread pool; only the Strichartz L4 kernel creates one
+    args = _TINY_RUNS["counting-check"]
+    code = (
+        "import sys, threading\n"
+        "import kflab.cli\n"
+        f"assert kflab.cli.run(['counting-check', '--out-dir', {str(tmp_path)!r}] + {args!r}) == 0\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_every_key_read_is_accepted(keys_read):
     # record the keys a small run reads, then set each of them
     experiment, read = keys_read
@@ -376,6 +393,8 @@ def test_slope_summaries_are_strict_json(tmp_path):
         "max_slope_vs_N": None,
         "cells": [{"N": 2, "M": 1, "n_modes": 4, "v_points": 4}],
         "largest_field_mb": 8 * 4**4 / 1e6,
+        "l4_workers": norms._l4_workers(),
+        "l4_split_cells": 0,
     }
     out = tmp_path / "counting"
     assert run(["counting-check", "--out-dir", str(out)] + _ONE_CELL) == 0
@@ -435,6 +454,17 @@ def test_mistyped_setting_exit_1(experiment, setting, message, tmp_path, capsys)
     argv = [experiment, "--out-dir", str(out)] + _TINY_RUNS[experiment] + [setting]
     assert run(argv) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["T=0", "T=-1", "n_time=1"])
+def test_strichartz_empty_time_window_exit_1(setting, tmp_path, capsys):
+    # T=0 exited 2 with a NaN slope, T=-1 named no key, n_time=1 raised
+    # an uncaught ZeroDivisionError
+    out = tmp_path / "out"
+    argv = ["strichartz-scan", "--out-dir", str(out)] + _TINY_RUNS["strichartz-scan"]
+    assert run(argv + [setting]) == 1
+    assert "needs T > 0 and n_time >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from kflab import (
     strichartz_gauge_check,
     strichartz_scan,
 )
-from kflab import lab
+from kflab import lab, norms
 from kflab.lab import _draw_block, _free_l4_norm
 from kflab.lp import bump_psi
 from kflab.norms import _slice_l4_xi_4
@@ -36,6 +36,15 @@ def test_loglog_slope():
     xs = [1.0, 2.0, 4.0, 8.0]
     ys = [3.0 * x**1.7 for x in xs]
     assert loglog_slope(xs, ys) == pytest.approx(1.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_loglog_slope_rejects_a_value_without_a_log(bad):
+    # a NaN slope would read as a failed gate (exit 2), not as an error
+    with pytest.raises(ValueError, match="positive finite y"):
+        loglog_slope([1.0, 2.0, 4.0], [1.0, bad, 0.5])
+    with pytest.raises(ValueError, match="positive finite x"):
+        loglog_slope([1.0, bad, 4.0], [1.0, 2.0, 0.5])
 
 
 def test_block_field_projection_invariant_and_seeded():
@@ -210,6 +219,38 @@ def test_slice_l4_d3_peak_memory():
     row = g.n_modes * (2 * g.v_points) ** g.d * vals.itemsize
     _slice_l4_xi_4(vals, g)  # warm-up
     assert _traced_peak(lambda: _slice_l4_xi_4(vals, g)) <= 3 * row
+
+
+@pytest.mark.parametrize("d, n_modes, v_points", [(2, 16, 32), (3, 8, 10)])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_slice_l4_two_workers_match_one(d, n_modes, v_points, dtype, monkeypatch):
+    # rows above the split cut-off (n_modes * (2 v_points)^d = 65,536 and
+    # 64,000 values): the two-worker split and the x-synthesis threads
+    # change no bit, in the scan's complex64 and the gauge check's
+    # complex128
+    g = make_grid(d=d, n_modes=n_modes, v_points=v_points, v_extent=4.0)
+    data = random_block_field(g, 2, 1, 3).data.astype(dtype)
+    vals = random_field(g, 4).data.astype(dtype)
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(norms, "_l4_workers", lambda: workers)
+        assert norms._slice_workers(g) == workers
+        got[workers] = (_slice_l4_xi_4(vals, g), _free_l4_norm(g, data, 0.5, 3))
+    assert got[2] == got[1]
+
+
+def test_slice_l4_small_rows_stay_on_one_thread(monkeypatch):
+    monkeypatch.setattr(norms, "_l4_workers", lambda: 2)
+    g = make_grid(d=2, n_modes=8, v_points=16, v_extent=4.0)
+    assert norms._slice_workers(g) == 1  # 8 * 32^2 = 2**13 padded values
+
+
+@pytest.mark.parametrize("T, n_time", [(0.0, 5), (-1.0, 5), (0.5, 1)])
+def test_strichartz_gauge_rejects_an_empty_time_window(T, n_time):
+    g = make_grid(d=2, n_modes=16, v_points=8, v_extent=4.0)
+    with pytest.raises(ValueError, match="T > 0 and n_time >= 2"):
+        strichartz_gauge_check(g, N=2, M=1, shift=(3, -2), trials=1,
+                               T=T, seed=0, n_time=n_time)
 
 
 def test_strichartz_gauge_identity():
