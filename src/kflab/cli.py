@@ -190,6 +190,9 @@ def _run_simulate(st: Settings, seed: int, out_dir: str) -> int:
         {"positivity": pos, "conservation": {k: cons[k] for k in
                                              ("mass_drift", "momentum_drift", "energy_drift")}},
     )
+    if not pos["passed"]:
+        print(f"kflab: warning: simulate: positivity failed: min {pos['min_value']:.3g} "
+              f"against threshold {pos['threshold']:.3g}", file=sys.stderr)
     return 0 if report.converged else 2
 
 

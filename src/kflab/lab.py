@@ -49,7 +49,6 @@ from .trajectory import (
     _trapz_l2,
     _trapz_weights,
     duhamel_integral,
-    make_trajectory,
     sample_free_evolution,
     time_idft,
 )
@@ -316,12 +315,11 @@ def _random_modulation_field(
 ) -> Trajectory:
     """Random trajectory synthesized directly on the (tau', n, v) grid,
     localized by Q_K and the (N, M) block (bandlimited by construction)."""
-    carrier = make_trajectory(grid, t_half, n_samples)
-    tau = _tau_grid(n_samples, carrier.dt)
     rng = np.random.default_rng(seed)
-    shape = (n_samples,) + grid.shape
-    coeffs = _complex_normal(rng, shape)
-    mask_t = modulation_mask(tau, K)
+    coeffs = _complex_normal(rng, (n_samples,) + grid.shape)
+    # the coefficients carry the window's sample times to time_idft
+    carrier = Trajectory(grid, t_half, coeffs)
+    mask_t = modulation_mask(_tau_grid(n_samples, carrier.dt), K)
     coeffs *= mask_t[(...,) + (None,) * (2 * grid.d)]
     traj = time_idft(carrier, coeffs)
     _localize_block(grid, traj.data, N, M)
@@ -381,7 +379,7 @@ def bilinear_modulation_check(
 def _cutoff_free_trajectory(phi: PhaseField, T: float, n_samples: int) -> Trajectory:
     """psi_T-cutoff free evolution of phi on the window [-2T, 2T] (the
     support of psi_T)."""
-    return apply_time_cutoff(sample_free_evolution(phi, 2.0 * T, n_samples), "psi_T", T)
+    return apply_time_cutoff(sample_free_evolution(phi, 2.0 * T, n_samples), T)
 
 
 def _cutoff_free_slice(phi: PhaseField, t: float, psi_t: float) -> PhaseField:
@@ -501,7 +499,9 @@ def linear_xsb_checks(
     """Linear restriction-norm estimates on random data:
     (b2) |psi S(t)g|_X / |g|_{H^{s,r}} (= |psi|_{H^b} exactly),
     (b3) Duhamel: |psi int_0^t S(t-t') F dt'|_X / |F|_{X^{s,r,b-1}},
-    (b4) |F|_{X^{s,r,b-1}} / |F|_{L2_t H^{s,r}} (<= 1 row-wise when b <= 1)."""
+    (b4) |F|_{X^{s,r,b-1}} / |F|_{L2_t H^{s,r}} (<= 1 row-wise when b <= 1).
+    Each row runs on psi's window [-t_half, t_half] (t_half >= 2, so psi
+    vanishes at its ends); F is psi(4t / t_half) S(t) phi, phi multi-block."""
     params = NormParams(s=s, r=r, b=b)
     params_low = NormParams(s=s, r=r, b=b - 1.0)
     report = ExperimentReport(
@@ -511,9 +511,8 @@ def linear_xsb_checks(
         grid_desc=repr(grid),
         extra={"s": s, "r": r, "b": b, "t_half": t_half, "n_samples": n_samples},
     )
-    rng_seq = _trial_seed(seed, 0)
-    phi = random_field(grid, rng_seq)
-    free = apply_time_cutoff(sample_free_evolution(phi, t_half, n_samples), "psi")
+    phi = random_field(grid, _trial_seed(seed, 0))
+    free = apply_time_cutoff(sample_free_evolution(phi, t_half, n_samples), 1.0)
     lhs = xsb_norm(free, params)
     del free
     rhs = sobolev_norm(phi, s, r)
@@ -521,12 +520,9 @@ def linear_xsb_checks(
     report.add_row("b2", lhs, rhs, lhs / rhs)
     report.extra["b2_oracle"] = oracle
 
-    forcing = _cutoff_free_trajectory(
-        random_multiblock_field(grid, _trial_seed(seed, 1)), t_half / 4.0, n_samples
-    )
-    dh = duhamel_integral(forcing)
-    dh = apply_time_cutoff(dh, "psi")
-    lhs3 = xsb_norm(dh, params)
+    phi = random_multiblock_field(grid, _trial_seed(seed, 1))
+    forcing = apply_time_cutoff(sample_free_evolution(phi, t_half, n_samples), t_half / 4.0)
+    lhs3 = xsb_norm(apply_time_cutoff(duhamel_integral(forcing), 1.0), params)
     # |F|_{X^{s,r,b-1}}: the rhs of b3 and the lhs of b4
     f_low = xsb_norm(forcing, params_low)
     report.add_row("b3", lhs3, f_low, lhs3 / f_low)

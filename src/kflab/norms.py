@@ -13,7 +13,7 @@ time integral is trapezoidal.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,8 @@ class NormParams:
     b: float = 0.55
 
 
-def default_params(d: int, slack: float = 0.05) -> NormParams:
+def default_params(d: int) -> NormParams:
+    slack = 0.05  # above the well-posedness thresholds s = d/2 - 1/4, r = d/2
     return NormParams(s=d / 2.0 - 0.25 + slack, r=d / 2.0 + slack, b=0.55)
 
 
@@ -192,30 +193,28 @@ def l2_spacetime_norm(traj: Trajectory) -> float:
     return float(np.sqrt(np.sum(tw * (2.0 * np.pi) ** (2 * g.d) * sl2)))
 
 
-def apply_time_cutoff(traj: Trajectory, kind: str, t_inner: float = 1.0) -> Trajectory:
-    """Multiply slices by psi(t) (kind 'psi') or psi(t / t_inner)
-    (kind 'psi_T'); a cutoff may be applied only once."""
-    if traj.cutoff != "none":
-        raise ValueError(f"cutoff already applied ({traj.cutoff})")
-    if kind not in ("psi", "psi_T"):
-        raise ValueError(f"unknown cutoff kind {kind!r}")
-    scale = float(t_inner) if kind == "psi_T" else 1.0
-    if scale <= 0:
+def apply_time_cutoff(traj: Trajectory, width: float) -> Trajectory:
+    """Multiply slices by psi(t / width): 1 on |t| <= width, exactly 0
+    from |t| >= 2 width on."""
+    if not width > 0:
         raise ValueError("cutoff width must be positive")
-    prof = bump_psi(traj.times / scale)
+    prof = bump_psi(traj.times / width)
     ext = (...,) + (None,) * (2 * traj.grid.d)
-    return replace(traj, data=traj.data * prof[ext], cutoff=kind)
+    return Trajectory(traj.grid, traj.t_half, traj.data * prof[ext])
 
 
 def xsb_norm(traj: Trajectory, params: NormParams) -> float:
     """Restriction norm: <tau + n.v>^b <n>^s <v>^r weights on the
     demodulated time-DFT, summed in l2_n L2_{tau,v}.
 
-    Requires a time cutoff on the trajectory (the continuum norm needs
-    decay in t).
+    Requires a time cutoff supported inside the window: first and last
+    slices exactly zero, so the time-DFT's periodic extension has no
+    jump at the window's ends.
     """
-    if traj.cutoff == "none":
-        raise ValueError("apply a time cutoff before taking the restriction norm")
+    if traj.data[0].any() or traj.data[-1].any():
+        raise ValueError("the restriction norm needs a time cutoff that vanishes at the "
+                         "window's ends: its first and last slices must be exactly zero, "
+                         "or the time-DFT's periodic extension jumps there")
     g = traj.grid
     tau, coeffs = time_dft(traj)
     # the bits of wt[ext] * w[None] * np.abs(coeffs) ** 2, in |coeffs|'s array

@@ -111,11 +111,11 @@ class ExperimentReport:
         payload["rows"] = [[_jsonable(v) for v in row] for row in self.rows]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def write(self, out_dir, stem: str | None = None) -> tuple:
-        stem = stem or self.experiment
+    def write(self, out_dir) -> tuple:
+        """Write <experiment>.csv and .json into out_dir; returns both paths."""
         os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, stem + ".csv")
-        json_path = os.path.join(out_dir, stem + ".json")
+        csv_path = os.path.join(out_dir, self.experiment + ".csv")
+        json_path = os.path.join(out_dir, self.experiment + ".json")
         with open(csv_path, "w") as fh:
             fh.write(self.to_csv())
         with open(json_path, "w") as fh:

@@ -106,7 +106,8 @@ class SolverConfig:
 
 @dataclass
 class IterationReport:
-    """Per-iteration Picard differences and contraction diagnostics."""
+    """Per-iteration Picard differences and contraction diagnostics;
+    deltas_x[k] is the restriction norm |psi_T (u_{k+1} - u_k)|_X."""
 
     deltas_sup: list = field(default_factory=list)
     deltas_x: list = field(default_factory=list)
@@ -177,7 +178,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
 
     report = IterationReport(t_final=T, realness_defect=conjugate_symmetry_defect(f0))
     report.collision_x_sizes = list(_padded_sizes(g, True))
-    cur = Trajectory(g, 2.0 * T, linear.copy(), cutoff="psi")
+    cur = Trajectory(g, 2.0 * T, linear.copy())
     halve = None
     for k in range(config.max_picard):
         t_sweep = time.perf_counter()
@@ -190,9 +191,10 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
         del q_all
         new.data *= psi[ext]
         new.data += linear
-        new.cutoff = "psi"
-        diff = Trajectory(g, 2.0 * T, new.data - cur.data, cutoff="psi")
+        diff = Trajectory(g, 2.0 * T, new.data - cur.data)
         report.deltas_sup.append(diff.sup_l2())
+        # psi_T vanishes at the window's ends, as xsb_norm requires; psi may not
+        diff.data *= psi_t[ext]
         report.deltas_x.append(xsb_norm(diff, config.params))
         del diff
         report.sweep_wall_s.append(time.perf_counter() - t_sweep)

@@ -11,7 +11,7 @@ discrete Parseval identity reproduces the trapezoid time integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,13 @@ __all__ = [
 class Trajectory:
     """Uniform time samples of a phase-space field on [-t_half, t_half].
 
-    ``data[j]`` is the slice at ``times[j]``; ``cutoff`` records which
-    time cutoff has been applied ("none", "psi", or "psi_T").
+    ``data[j]`` is the slice at ``times[j]``.  Whether a time cutoff has
+    been applied is read from the data (norms.xsb_norm), not recorded.
     """
 
     grid: GridSpec
     t_half: float
     data: np.ndarray
-    cutoff: str = "none"
 
     def __post_init__(self):
         if self.data.ndim != 2 * self.grid.d + 1:
@@ -139,14 +138,13 @@ def time_dft(traj: Trajectory) -> tuple:
 
 
 def time_idft(traj: Trajectory, coeffs: np.ndarray) -> Trajectory:
-    """Exact inverse of time_dft, returning a trajectory with the same
-    window and cutoff record."""
+    """Exact inverse of time_dft, on the same window."""
     g = traj.grid
     u = np.fft.ifft(coeffs, axis=0) * np.sqrt(traj.n_samples)
     w = np.sqrt(_trapz_weights(traj.n_samples, traj.dt))
     ext = (...,) + (None,) * (2 * g.d)
     u /= w[ext]
-    return replace(traj, data=_free_flow(u, g, traj.times, out=u))
+    return Trajectory(g, traj.t_half, _free_flow(u, g, traj.times, out=u))
 
 
 def duhamel_integral(forcing: Trajectory) -> Trajectory:

@@ -46,6 +46,23 @@ def test_simulate_end_to_end(tmp_path):
     assert len(payload["halvings_reasons"]) == payload["halvings"]
 
 
+def test_simulate_warns_when_positivity_fails(tmp_path, monkeypatch, capsys):
+    # the tiny grid converges (exit 0) with a negative lobe of -4.2e-3: the
+    # exit code reads convergence only, and the failure is one warning line
+    assert run(_simulate_args(tmp_path)) == 0
+    pos = json.loads((tmp_path / "diagnostics.json").read_text())["positivity"]
+    assert not pos["passed"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"kflab: warning: simulate: positivity failed: min {pos['min_value']:.3g} "
+        f"against threshold {pos['threshold']:.3g}"
+    ]
+    # the same run under a threshold it meets warns of nothing
+    monkeypatch.setattr(solver, "POSITIVITY_THRESHOLD", 1.0)
+    assert run(_simulate_args(tmp_path / "loose")) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_snapshots_reload_on_the_full_grid(tmp_path):
     # the sweeps run on the (4, 1) mode support; every snapshot is
     # written from the embedded trajectory and reloads on the full grid

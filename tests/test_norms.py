@@ -199,14 +199,12 @@ def test_lp_p4_against_brute_force():
 def test_time_cutoff_plateau_support_double():
     g = _grid()
     traj = sample_free_evolution(random_field(g, seed=6), 4.0, 33)
-    cut = apply_time_cutoff(traj, "psi")
+    cut = apply_time_cutoff(traj, 1.0)
     times = traj.times
     inner = np.abs(times) <= 1.0
     outer = np.abs(times) >= 2.0
     assert np.allclose(cut.data[inner], traj.data[inner], atol=0.0)
     assert np.all(cut.data[outer] == 0.0)
-    with pytest.raises(ValueError):
-        apply_time_cutoff(cut, "psi")
 
 
 def test_time_cutoff_peak_memory():
@@ -214,10 +212,10 @@ def test_time_cutoff_peak_memory():
     # product, peaked at 2x
     g = make_grid(d=2, n_modes=8, v_points=16, v_extent=4.0)
     traj = sample_free_evolution(random_field(g, seed=10), 4.0, 17)
-    apply_time_cutoff(traj, "psi")  # warm-up
+    apply_time_cutoff(traj, 1.0)  # warm-up
     tracemalloc.start()
     try:
-        apply_time_cutoff(traj, "psi")
+        apply_time_cutoff(traj, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,7 +227,7 @@ def test_xsb_peak_memory():
     # 1.50x measured; separate weighted, transformed and scaled copies
     # peaked at 2.02x
     g = make_grid(d=2, n_modes=8, v_points=16, v_extent=4.0)
-    traj = apply_time_cutoff(sample_free_evolution(random_field(g, seed=12), 2.0, 33), "psi")
+    traj = apply_time_cutoff(sample_free_evolution(random_field(g, seed=12), 2.0, 33), 1.0)
     params = NormParams(0.3, 1.0, 0.55)
     xsb_norm(traj, params)  # warm-up
     tracemalloc.start()
@@ -261,7 +259,7 @@ def test_window_and_restricted_l2():
 def test_xsb_zero_indices_is_l2t():
     g = _grid()
     traj = sample_free_evolution(random_field(g, seed=7), 2.0, 33)
-    cut = apply_time_cutoff(traj, "psi")
+    cut = apply_time_cutoff(traj, 1.0)
     params = NormParams(0.0, 0.0, 0.0)
     # xsb_norm is reported on the (n, v) side; the space-time L2 carries
     # the extra (2pi)^d constant
@@ -276,7 +274,7 @@ def test_xsb_free_evolution_identity():
     g = _grid()
     phi = random_field(g, seed=8)
     traj = sample_free_evolution(phi, 2.0, 65)
-    cut = apply_time_cutoff(traj, "psi")
+    cut = apply_time_cutoff(traj, 1.0)
     b = 0.55
     lhs = xsb_norm(cut, NormParams(0.0, 0.0, b))
     rhs = psi_window_hb(2.0, 65, b) * phi.l2_norm()
@@ -288,6 +286,51 @@ def test_xsb_requires_cutoff():
     traj = sample_free_evolution(random_field(g, seed=9), 1.0, 9)
     with pytest.raises(ValueError):
         xsb_norm(traj, NormParams(0.0, 0.0, 0.55))
+
+
+def test_xsb_rejects_a_cutoff_that_is_one_at_the_ends():
+    # psi(t) is 1 on the window [-1, 1], so the cutoff leaves the ends as
+    # they are and the time-DFT's periodic extension jumps there
+    g = _grid()
+    traj = apply_time_cutoff(sample_free_evolution(random_field(g, seed=9), 1.0, 9), 1.0)
+    with pytest.raises(ValueError, match="first and last slices must be exactly zero"):
+        xsb_norm(traj, NormParams(0.0, 0.0, 0.55))
+
+
+@pytest.mark.parametrize("width", [0.3, 0.375, 1.0])
+@pytest.mark.parametrize("n_samples", [9, 17, 33])
+def test_cutoff_vanishes_at_the_ends_of_its_window(width, n_samples):
+    # the premise of xsb_norm's guard: psi(t / w) on [-2w, 2w] is exactly
+    # zero at both ends, also where 2w is not a sum of binary fractions
+    from kflab.lab import _cutoff_free_trajectory
+
+    traj = _cutoff_free_trajectory(random_field(_grid(), seed=13), width, n_samples)
+    assert traj.times[-1] == pytest.approx(2.0 * width, rel=1e-12)
+    assert not traj.data[0].any() and not traj.data[-1].any()
+    assert traj.data[n_samples // 2].any()
+
+
+def test_every_restriction_norm_gets_vanishing_ends(monkeypatch):
+    # a spy over each caller's xsb_norm: the linear checks' three windows
+    # and the Picard sweeps' deltas_x
+    from kflab import SolverConfig, duhamel_picard, maxwellian_perturbed, sphere_quadrature
+    from kflab import lab, norms, solver
+
+    ends = []
+
+    def spy(traj, params):
+        ends.append((bool(traj.data[0].any()), bool(traj.data[-1].any())))
+        return norms.xsb_norm(traj, params)
+
+    monkeypatch.setattr(lab, "xsb_norm", spy)
+    monkeypatch.setattr(solver, "xsb_norm", spy)
+    lab.linear_xsb_checks(_grid(), 0.0, 0.0, 0.55, 3, 2.0, 33)
+    g = make_grid(d=2, n_modes=4, v_points=8, v_extent=6.0)
+    config = SolverConfig(grid=g, T=0.125, dt=0.125 / 4, quad=sphere_quadrature(2, 8),
+                          max_picard=2, tol=1e-10)
+    duhamel_picard(maxwellian_perturbed(g, eps=0.1, mode=(1, 0)), config)
+    assert len(ends) == 3 + 2
+    assert ends == [(False, False)] * len(ends)
 
 
 def test_default_params():
