@@ -15,7 +15,10 @@ onto such a grid, by default onto its data's own support
 The x-transform pair works on the grid's x-grid, an axis of count 1
 having one x-node.  Its private core, ``_x_values``/``_x_coeffs``, takes
 per-axis x-grid sizes and any leading axes; the collision's zero-padded
-x-grid is sized in :mod:`kflab.collision` alone.
+x-grid is sized in :mod:`kflab.collision` alone.  The synthesis also has
+a matrix form, one (count, size) factor per axis built from the same
+FFT (``_x_synthesis_matrices``), which the gain applies one axis at a
+time (``_x_values_front``).
 """
 
 from __future__ import annotations
@@ -255,6 +258,38 @@ def _x_values(grid: GridSpec, data: np.ndarray, sizes: tuple) -> np.ndarray:
     values = np.fft.ifftn(big, axes=range(lead, lead + grid.d), out=out)
     values *= math.prod(sizes)
     return values
+
+
+def _x_synthesis_matrices(grid: GridSpec, sizes: tuple) -> list:
+    """The matrix form of _x_values, one factor per axis: the (count_a,
+    size_a) matrix whose row m holds the x-grid values of the unit
+    coefficient at mode m's slot (the FFT of that unit, as _x_values
+    takes it)."""
+    mats = []
+    for c, size, slots in zip(grid.mode_counts, sizes, _slots(grid, sizes)):
+        unit = np.zeros((c, size), dtype=np.complex128)
+        unit[np.arange(c), slots] = 1.0
+        mats.append(np.fft.ifft(unit, axis=1) * size)
+    return mats
+
+
+def _x_values_front(mats: list, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_x_values by the matrices of _x_synthesis_matrices, for C-contiguous
+    ``coeffs`` whose trailing axes are the stored modes (any leading
+    axes): one 2-D GEMM per axis, last axis first, each putting its
+    x-axis in front.  So the result's axes are the x-grid's, then the
+    leading axes.  A count-1 axis keeps its one coefficient.  The last
+    GEMM writes into the leading entries of the flat buffer ``out``."""
+    lead = coeffs.shape[: coeffs.ndim - len(mats)]
+    steps = [mat for mat in reversed(mats) if mat.shape != (1, 1)]
+    vals = coeffs
+    for i, mat in enumerate(steps):
+        x = vals.reshape(-1, mat.shape[0]).T
+        dest = None
+        if i == len(steps) - 1:
+            dest = out[: mat.shape[1] * x.shape[1]].reshape(mat.shape[1], -1)
+        vals = np.matmul(mat.T, x, out=dest)
+    return vals.reshape(tuple(m.shape[1] for m in mats) + lead)
 
 
 def _x_coeffs(grid: GridSpec, values: np.ndarray, sizes: tuple) -> np.ndarray:

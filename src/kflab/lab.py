@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .collision import SphereQuadrature, gain_bobylev, loss_bobylev
+from .collision import SphereQuadrature, _gain_cache_path, gain_bobylev, loss_bobylev
 from .grid import (
     GridSpec,
     PhaseField,
@@ -439,13 +439,28 @@ def loss_estimate_check(
     )
 
 
+def _counted_gain(quad: SphereQuadrature):
+    """(gain, paths): gain_bobylev(f, g, quad) as a function of (f, g),
+    and the dict in which it counts the calls that took each stack path
+    (hit, miss or bypass; collision._gain_cache_path)."""
+    paths = dict.fromkeys(("hit", "miss", "bypass"), 0)
+
+    def gain(f: PhaseField, g: PhaseField) -> PhaseField:
+        paths[_gain_cache_path(f.grid, quad)] += 1
+        return gain_bobylev(f, g, quad)
+
+    return gain, paths
+
+
 def gain_estimate_check(
     grid: GridSpec, s: float, r: float, Ts, trials: int, seed: int, quad: SphereQuadrature
 ) -> ExperimentReport:
-    """Gain-term bilinear bound, same harness as the loss term."""
-    return _bilinear_collision_check(
-        "gain-check", lambda a, b: gain_bobylev(a, b, quad), grid, s, r, Ts, trials, seed
-    )
+    """Gain-term bilinear bound, same harness as the loss term; the JSON
+    telemetry "gain_cache" counts the gain calls per stack path."""
+    gain, paths = _counted_gain(quad)
+    report = _bilinear_collision_check("gain-check", gain, grid, s, r, Ts, trials, seed)
+    report.telemetry["gain_cache"] = paths
+    return report
 
 
 def _lpxi_norm_per_x(fld: PhaseField, p: float) -> np.ndarray:
@@ -464,7 +479,9 @@ def holder_gain_check(
 ) -> ExperimentReport:
     """Per-x-node Hoelder bound for the gain term over _HOLDER_SCALES:
     |P_{N,M} Q+(P_{N1,M1}f, P_{N2,M2}g)|_{L^r_xi} <=
-    C |P_{N1,M1}f|_{L^p_xi} |P_{N2,M2}g|_{L^q_xi}, 1/r = 1/p + 1/q."""
+    C |P_{N1,M1}f|_{L^p_xi} |P_{N2,M2}g|_{L^q_xi}, 1/r = 1/p + 1/q.
+    The JSON telemetry "gain_cache" counts the gain calls per stack
+    path."""
     if p <= 1.5 or q <= 1.5:
         raise ValueError("need p, q > 3/2")
     inv_r = 1.0 / p + 1.0 / q
@@ -478,11 +495,12 @@ def holder_gain_check(
         grid_desc=repr(grid),
         extra={"p": p, "q": q, "r": r_exp},
     )
+    gain, report.telemetry["gain_cache"] = _counted_gain(quad)
     for N1, M1, N2, M2 in _HOLDER_SCALES:
         for trial in range(trials):
             f = random_block_field(grid, N1, M1, _trial_seed(seed, 0, trial, N1, M1))
             g = random_block_field(grid, N2, M2, _trial_seed(seed, 1, trial, N2, M2))
-            out = gain_bobylev(f, g, quad)
+            out = gain(f, g)
             out = project_v_dyadic(project_x_shell(out, N1), max(M1, M2))
             lhs_x = _lpxi_norm_per_x(out, r_exp)
             rhs_x = _lpxi_norm_per_x(f, p) * _lpxi_norm_per_x(g, q)

@@ -2,8 +2,8 @@
 
 CSV output is byte-identical for identical (seed, parameters, grid):
 floats are rendered with repr (shortest round-trip), header keys are
-sorted, and the wall-clock time is kept out of the CSV (it lives only
-in the JSON sidecar).
+sorted, and the wall-clock time and the telemetry are kept out of the
+CSV (they live only in the JSON sidecar).
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class ExperimentReport:
     grid_desc: str = ""
     wall_clock: float = 0.0
     extra: dict = field(default_factory=dict)
+    # which code path ran; JSON only, like the wall clock
+    telemetry: dict = field(default_factory=dict)
     # the run's clock starts when the report is built; finish() reads it
     _started: float = field(default_factory=time.time, init=False, repr=False, compare=False)
 
@@ -107,6 +109,7 @@ class ExperimentReport:
     def to_json(self) -> str:
         payload = dict(self.header_items())
         payload["wall_clock_seconds"] = self.wall_clock
+        payload["telemetry"] = self.telemetry
         payload["columns"] = list(self.columns)
         payload["rows"] = [[_jsonable(v) for v in row] for row in self.rows]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

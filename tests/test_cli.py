@@ -212,6 +212,30 @@ def test_drivers_take_required_settings():
     assert defaults == []
 
 
+@pytest.mark.parametrize("experiment, argv, calls", [
+    ("gain-check", ["n_modes=4", "v_points=8", "Ts=0.125", "trials=1"], 9),
+    ("holder-check", ["n_modes=4", "v_points=8", "trials=1", "nodes=4"], 3),
+])
+def test_gain_sidecars_record_the_stack_path(experiment, argv, calls, tmp_path, monkeypatch):
+    # every gain call's stack path is counted in the JSON telemetry, and
+    # the CSV does not change with the path: above the cap every call
+    # bypasses the cache; as shipped the first call builds the stacks
+    from kflab import collision
+
+    def telemetry(out):
+        assert run([experiment, "--out-dir", str(out)] + argv) == 0
+        payload = json.loads((out / f"{experiment}.json").read_text())
+        return payload["telemetry"]["gain_cache"], (out / f"{experiment}.csv").read_text()
+
+    collision._MAT_CACHE.clear()
+    shipped, csv = telemetry(tmp_path / "shipped")
+    assert shipped == {"hit": calls - 1, "miss": 1, "bypass": 0}
+    monkeypatch.setattr(collision, "_MAT_CACHE_CAP_BYTES", 0)
+    bypass, csv_bypass = telemetry(tmp_path / "bypass")
+    assert bypass == {"hit": 0, "miss": 0, "bypass": calls}
+    assert csv_bypass == csv and "telemetry" not in csv
+
+
 def test_bad_experiment_rejected():
     with pytest.raises(SystemExit):
         run(["not-an-experiment"])

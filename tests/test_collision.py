@@ -255,6 +255,26 @@ def _columns(grid, seed, ncols=6):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _mode_columns(grid, seed, slices=1):
+    """Random coefficients of ``slices`` slices as stored-mode columns."""
+    from kflab.collision import _mode_columns
+
+    rng = np.random.default_rng(seed)
+    shape = (slices,) + grid.shape
+    return _mode_columns(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _dense_mode_gain(grid, quad, fc, gc, sizes):
+    """_dense_gain of the x-synthesized columns of stored-mode columns."""
+    from kflab.collision import _x_columns
+
+    def x_cols(cols):
+        data = cols.T.reshape((-1,) + grid.shape)
+        return _x_columns(grid, data, sizes)
+
+    return _dense_gain(grid, quad, x_cols(fc), x_cols(gc))
+
+
 def _dense_phase(grid, pts):
     return np.exp(1j * (pts @ grid.v_vectors().T)) * grid.dv**grid.d
 
@@ -307,22 +327,24 @@ def test_fft_back_transform_matches_dense(d, v_points):
 
 @pytest.mark.parametrize("d, v_points, n_nodes", [(2, 16, 16), (3, 8, 32)])
 def test_gain_columns_match_dense(d, v_points, n_nodes):
-    from kflab.collision import _gain_columns
+    from kflab.collision import _gain_columns, _padded_sizes
 
     g = make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0)
     quad = sphere_quadrature(d, n_nodes)
-    fv, gv = _columns(g, 10), _columns(g, 11)
-    assert _rel(_gain_columns(g, quad, fv, gv), _dense_gain(g, quad, fv, gv)) <= 1e-13
+    sizes = _padded_sizes(g, True)
+    fc, gc = _mode_columns(g, 10), _mode_columns(g, 11)
+    dense = _dense_mode_gain(g, quad, fc, gc, sizes)
+    assert _rel(_gain_columns(g, quad, fc, gc, sizes), dense) <= 1e-13
     # the fused same-argument accumulation against the f != g path
-    fused = _gain_columns(g, quad, fv, fv)
-    assert _rel(fused, _gain_columns(g, quad, fv, fv.copy())) <= 1e-13
-    assert _rel(fused, _dense_gain(g, quad, fv, fv)) <= 1e-13
+    fused = _gain_columns(g, quad, fc, fc, sizes)
+    assert _rel(fused, _gain_columns(g, quad, fc, fc.copy(), sizes)) <= 1e-13
+    assert _rel(fused, _dense_mode_gain(g, quad, fc, fc, sizes)) <= 1e-13
 
 
 def test_gain_odd_node_count_rejected(tmp_path, capsys):
     from kflab import SphereQuadrature
     from kflab.cli import run
-    from kflab.collision import _gain_columns, collide_trajectory
+    from kflab.collision import _gain_columns, _mode_columns, collide_trajectory
 
     with pytest.raises(ValueError, match="even"):
         sphere_quadrature(2, 15)
@@ -340,10 +362,10 @@ def test_gain_odd_node_count_rejected(tmp_path, capsys):
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     quad = SphereQuadrature(2, nodes, np.full(15, 2.0 * np.pi / 15))
     g = make_grid(d=2, n_modes=2, v_points=8, v_extent=6.0)
-    fv = _columns(g, 12)
-    with pytest.raises(ValueError, match="antipodal"):
-        _gain_columns(g, quad, fv, fv)
     stack = _random_nonneg(g, 13).data[None]
+    fc = _mode_columns(g, stack)
+    with pytest.raises(ValueError, match="antipodal"):
+        _gain_columns(g, quad, fc, fc, g.mode_counts)
     with pytest.raises(ValueError, match="antipodal"):
         collide_trajectory(stack, g, quad)
 
@@ -367,16 +389,27 @@ def test_collide_matches_dense_gain():
 
 
 @pytest.mark.parametrize("d, v_points, n_nodes", [(2, 16, 16), (3, 8, 32)])
-def test_gain_columns_blocks_match_dense(d, v_points, n_nodes):
-    from kflab.collision import _GAIN_BLOCK, _gain_columns
+def test_gain_columns_blocks_match_dense(d, v_points, n_nodes, monkeypatch):
+    # a block is a run of whole slices: with the block size patched down
+    # to 2 slices and 3 columns, 5 slices take two full blocks and a
+    # ragged one; below one slice's columns, each slice is a block.  The
+    # d = 3 case runs on an x_1-only support grid, to keep the dense
+    # reference small.
+    from dataclasses import replace
 
-    g = make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0)
+    from kflab import collision
+
+    g = replace(make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0),
+                mode_counts=None if d == 2 else (2, 1, 1))
+    n_modes = int(np.prod(g.mode_counts))
     quad = sphere_quadrature(d, n_nodes)
-    # two full blocks and a ragged one
-    ncols = 2 * _GAIN_BLOCK + 37
-    fv, gv = _columns(g, 15, ncols), _columns(g, 16, ncols)
-    assert _rel(_gain_columns(g, quad, fv, gv), _dense_gain(g, quad, fv, gv)) <= 1e-13
-    assert _rel(_gain_columns(g, quad, fv, fv), _dense_gain(g, quad, fv, fv)) <= 1e-13
+    sizes = collision._padded_sizes(g, True)
+    fc, gc = _mode_columns(g, 15, 5), _mode_columns(g, 16, 5)
+    for block in (2 * n_modes + 3, n_modes - 1):
+        monkeypatch.setattr(collision, "_GAIN_BLOCK", block)
+        for other in (gc, fc):
+            assert _rel(collision._gain_columns(g, quad, fc, other, sizes),
+                        _dense_mode_gain(g, quad, fc, other, sizes)) <= 1e-13
 
 
 def test_gain_cache_bypass_matches_cached(monkeypatch):
@@ -384,24 +417,26 @@ def test_gain_cache_bypass_matches_cached(monkeypatch):
 
     g = make_grid(d=2, n_modes=2, v_points=16, v_extent=6.0)
     quad = sphere_quadrature(2, 16)
-    ncols = collision._GAIN_BLOCK + 5
-    fv, gv = _columns(g, 18, ncols), _columns(g, 19, ncols)
+    sizes = collision._padded_sizes(g, True)
+    # two blocks, of two slices and of one
+    monkeypatch.setattr(collision, "_GAIN_BLOCK", 2 * g.n_modes**2)
+    fc, gc = _mode_columns(g, 18, 3), _mode_columns(g, 19, 3)
     collision._MAT_CACHE.clear()
-    cached = [collision._gain_columns(g, quad, fv, b) for b in (gv, fv)]
+    cached = [collision._gain_columns(g, quad, fc, b, sizes) for b in (gc, fc)]
     assert collision._MAT_CACHE
     monkeypatch.setattr(collision, "_MAT_CACHE_CAP_BYTES", 0)
     collision._MAT_CACHE.clear()
-    bypass = [collision._gain_columns(g, quad, fv, b) for b in (gv, fv)]
+    bypass = [collision._gain_columns(g, quad, fc, b, sizes) for b in (gc, fc)]
     assert not collision._MAT_CACHE
-    for a, b, other in zip(cached, bypass, (gv, fv)):
+    for a, b, other in zip(cached, bypass, (gc, fc)):
         assert _rel(b, a) <= 1e-13
-        assert _rel(b, _dense_gain(g, quad, fv, other)) <= 1e-13
+        assert _rel(b, _dense_mode_gain(g, quad, fc, other, sizes)) <= 1e-13
 
 
 @pytest.mark.parametrize("d, v_points, n_nodes", [(2, 16, 16), (3, 8, 32)])
 def test_gain_angular_kernel_matches_dense(d, v_points, n_nodes):
     from kflab import SphereQuadrature
-    from kflab.collision import _gain_columns
+    from kflab.collision import _gain_columns, _padded_sizes
 
     g = make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0)
     base = sphere_quadrature(d, n_nodes)
@@ -411,9 +446,11 @@ def test_gain_angular_kernel_matches_dense(d, v_points, n_nodes):
     w = quad.weights
     # odd in omega, so antipodal nodes carry different weights
     assert np.max(np.abs(w - w[quad.antipode_map()])) > 0.5 * np.max(base.weights)
-    fv, gv = _columns(g, 20), _columns(g, 21)
-    assert _rel(_gain_columns(g, quad, fv, gv), _dense_gain(g, quad, fv, gv)) <= 1e-13
-    assert _rel(_gain_columns(g, quad, fv, fv), _dense_gain(g, quad, fv, fv)) <= 1e-13
+    sizes = _padded_sizes(g, True)
+    fc, gc = _mode_columns(g, 20), _mode_columns(g, 21)
+    for other in (gc, fc):
+        assert _rel(_gain_columns(g, quad, fc, other, sizes),
+                    _dense_mode_gain(g, quad, fc, other, sizes)) <= 1e-13
 
 
 def test_collide_trajectory_partial_mask_matches_per_slice():
@@ -437,22 +474,30 @@ def test_collide_trajectory_partial_mask_matches_per_slice():
 
 
 def _per_slice_x_work(stack, g, quad, active):
-    """collide_trajectory with the x-work done one slice at a time: each
-    active slice synthesized, its loss taken and its columns analyzed on
-    their own, around one gain call on all the columns."""
-    from kflab.collision import _gain_columns, _padded_sizes, _x_columns, _x_from_columns
+    """collide_trajectory with the x-work done one slice at a time: after
+    one gain call on the stored-mode columns of every active slice, each
+    slice synthesized, its loss taken and its columns analyzed on their
+    own."""
+    from kflab.collision import (
+        _gain_columns,
+        _mode_columns,
+        _padded_sizes,
+        _x_columns,
+        _x_from_columns,
+    )
 
     idx = np.flatnonzero(active)
     sizes = _padded_sizes(g, True)
-    # C-contiguous (P^d, columns), the layout whose column sums the loss takes
-    cols = np.concatenate([_x_columns(g, stack[j], sizes) for j in idx], axis=1)
-    q_v = _gain_columns(g, quad, cols, cols)
+    modes = np.concatenate([_mode_columns(g, stack[j]) for j in idx], axis=1)
+    q_v = _gain_columns(g, quad, modes, modes, sizes)
     out = np.zeros_like(stack)
-    n_x = cols.shape[1] // idx.size
+    n_x = q_v.shape[1] // idx.size
     for pos, j in enumerate(idx):
         sl = slice(pos * n_x, (pos + 1) * n_x)
-        mass = g.dv**g.d * cols[:, sl].sum(axis=0)
-        q_v[:, sl] -= cols[:, sl] * (float(np.sum(quad.weights)) * mass)
+        # C-contiguous (P^d, x-nodes), the layout whose column sums the loss takes
+        cols = _x_columns(g, stack[j], sizes)
+        mass = g.dv**g.d * cols.sum(axis=0)
+        q_v[:, sl] -= cols * (float(np.sum(quad.weights)) * mass)
         out[j] = _x_from_columns(g, q_v[:, sl], sizes)[0]
     return out
 
@@ -555,9 +600,11 @@ def _spy_columns(monkeypatch):
     counts = []
     gain_columns = collision._gain_columns
 
-    def spy(grid, quad, fv, gv):
-        counts.append(fv.shape[1])
-        return gain_columns(grid, quad, fv, gv)
+    def spy(grid, quad, fc, gc, sizes):
+        # stored-mode columns, and the padded x-grid of their grid
+        assert sizes == collision._padded_sizes(grid, True)
+        counts.append(fc.shape[1])
+        return gain_columns(grid, quad, fc, gc, sizes)
 
     monkeypatch.setattr(collision, "_gain_columns", spy)
     return counts
@@ -576,20 +623,20 @@ def test_collision_columns_follow_x_support(monkeypatch):
     sub = restrict_modes(Trajectory(g, 1.0, stack))
     assert sub.grid.mode_counts == (8, 1)
     collide_trajectory(sub.data, sub.grid, quad)
-    assert counts == [3 * 12]
+    assert counts == [3 * 8]
     # one tiny coefficient off the n_2 = 0 slab keeps the full grid
     stack[1, 2, 5, 3, 3] = 1e-300
     sub = restrict_modes(Trajectory(g, 1.0, stack))
     assert sub.grid.mode_counts == (8, 8)
     collide_trajectory(sub.data, sub.grid, quad)
-    assert counts[-1] == 3 * 144
+    assert counts[-1] == 3 * 64
     # gain and loss collide on the grid of their arguments: the support
     # grid of f, and the full grid for x_2-invariant data left on it
     f = restrict_modes(PhaseField(g, stack[0]))
     gain_bobylev(f, f, quad)
-    assert counts[-1] == 12
+    assert counts[-1] == 8
     gain_bobylev(PhaseField(g, stack[0]), PhaseField(g, stack[1]), quad)
-    assert counts[-1] == 144
+    assert counts[-1] == 64
 
 
 def test_d3_x1_data_collide_on_one_x_axis(monkeypatch):
@@ -602,7 +649,7 @@ def test_d3_x1_data_collide_on_one_x_axis(monkeypatch):
     assert _padded_sizes(f0.grid, True) == (6, 1, 1)
     counts = _spy_columns(monkeypatch)
     collide(f0, sphere_quadrature(3, 8))
-    assert counts == [6]
+    assert counts == [4]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ from kflab import (
     xi_to_v,
 )
 from kflab.collision import _padded_sizes
-from kflab.grid import _mode_support, _x_coeffs, _x_values
+from kflab.grid import (
+    _mode_support,
+    _x_coeffs,
+    _x_synthesis_matrices,
+    _x_values,
+    _x_values_front,
+)
 
 
 def test_make_grid_spacing():
@@ -138,6 +144,28 @@ def test_x_roundtrip_per_axis_sizes(d, sizes):
     back = embed_modes(PhaseField(sub.grid, _x_coeffs(sub.grid, vals, sizes)))
     assert np.max(np.abs(back.data - fld.data)) <= 1e-14
     assert not np.any(back.data[fld.data == 0])
+
+
+@pytest.mark.parametrize("d, counts", [(2, None), (2, (8, 1)), (3, None), (3, (8, 1, 1))])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_x_synthesis_matrices_match_x_values(d, counts, dealias):
+    # the per-axis matrices, applied one axis at a time, are _x_values:
+    # the +n/2 Nyquist slot included, on full and support grids
+    g = replace(make_grid(d=d, n_modes=8, v_points=4, v_extent=2.0), mode_counts=counts)
+    sizes = _padded_sizes(g, dealias)
+    rng = np.random.default_rng(40 + d)
+    shape = (3,) + g.shape
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.all(data[:, g.n_modes // 2] != 0)
+    ref = _x_values(g, data, sizes)
+    # the stored modes last, as the matrices take them; the x-axes come first
+    modes = np.ascontiguousarray(np.moveaxis(data, range(1, d + 1), range(-d, 0)))
+    # the last product writes into the leading entries of a flat buffer
+    buf = np.empty(ref.size + 5, dtype=np.complex128)
+    got = _x_values_front(_x_synthesis_matrices(g, sizes), modes, buf)
+    assert got.shape == sizes + (3,) + (g.v_points,) * d and np.shares_memory(got, buf)
+    got = np.moveaxis(got, range(d), range(1, d + 1))
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_x_synthesize_size_one_rejects_dropped_mode():

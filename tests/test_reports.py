@@ -42,9 +42,12 @@ def test_csv_deterministic_and_commented():
 def test_json_has_wall_clock():
     rep = _report()
     rep.wall_clock = 1.25
+    rep.telemetry["path"] = {"hit": 1}
     payload = json.loads(rep.to_json())
     assert payload["wall_clock_seconds"] == 1.25
+    assert payload["telemetry"] == {"path": {"hit": 1}}
     assert payload["rows"][0][0] == 2
+    assert "path" not in rep.to_csv()
 
 
 def test_validate_finite():

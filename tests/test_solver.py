@@ -239,13 +239,14 @@ def test_x_support_rule_keeps_the_solve(monkeypatch):
     columns = []
     gain_columns = collision._gain_columns
 
-    def spy(grid, quad, fv, gv):
-        columns.append(fv.shape[1])
-        return gain_columns(grid, quad, fv, gv)
+    def spy(grid, quad, fc, gc, sizes):
+        columns.append((fc.shape[1], sizes))
+        return gain_columns(grid, quad, fc, gc, sizes)
 
     monkeypatch.setattr(collision, "_gain_columns", spy)
     rk = integrate_interaction_picture(f0, config)
-    assert rk.grid == g and set(columns) == {6}
+    # stored-mode columns of the (4, 1) support grid, on its (6, 1) x-grid
+    assert rk.grid == g and set(columns) == {(4, (6, 1))}
 
     def full(grid, data):
         return (grid.n_modes,) * grid.d
@@ -255,7 +256,7 @@ def test_x_support_rule_keeps_the_solve(monkeypatch):
     monkeypatch.setattr(grid_module, "_mode_support", full)
     columns.clear()
     rk_ref = integrate_interaction_picture(f0, config)
-    assert set(columns) == {36}
+    assert set(columns) == {(16, (6, 6))}
     assert rk_ref.grid == rk.grid and rk_ref.data.shape == rk.data.shape
     assert np.max(np.abs(rk.data - rk_ref.data)) <= 1e-12 * np.max(np.abs(rk_ref.data))
     ref, ref_report = duhamel_picard(f0, config)
