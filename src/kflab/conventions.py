@@ -38,9 +38,12 @@ Discrete norms
 * ``l2_n L2_v``:  ``(sum_n dv^d sum_v |fhat|^2)^(1/2)`` -- plain sum over
   modes, Riemann sum over v (no x-measure factor).
 * Bracket:        ``<z> = (1 + |z|^2)^(1/2)`` everywhere.
-* Time quadrature is trapezoidal on the uniform sample grid; the time
+* Time norms use the trapezoid rule on the uniform sample grid; the time
   transform acts on sqrt-trapezoid-weighted samples, so its Parseval
   identity reproduces the trapezoid rule exactly.
+* The Duhamel integral ``int_0^t`` is a fourth-order 4-point rule in the
+  interaction frame: ``dt/24 (-1, 13, 13, -1)`` per interior interval,
+  the one-sided ``dt/24 (9, 19, -5, 1)`` on the window's end intervals.
 * ``log N`` in the counting bound is implemented as ``log(1 + N)``.
 
 VERSION bumps whenever any convention above changes; experiment report

@@ -6,7 +6,9 @@ time-DFT: each (n, v) line is moved to the interaction frame (multiply
 by exp(+i t n.v)) before the DFT, so the free evolution sits exactly at
 tau' = 0 and the Nyquist limit depends only on the window sampling, not
 on the size of n.v.  Samples carry square-root trapezoid weights so the
-discrete Parseval identity reproduces the trapezoid time integral.
+discrete Parseval identity reproduces the trapezoid time integral.  The
+Duhamel integral is a different quadrature: a fourth-order 4-point rule
+on the interaction-frame forcing (duhamel_integral).
 """
 
 from __future__ import annotations
@@ -150,21 +152,37 @@ def time_idft(traj: Trajectory, coeffs: np.ndarray) -> Trajectory:
 def duhamel_integral(forcing: Trajectory) -> Trajectory:
     """int_0^t S(t - t') F(t') dt' on the sample grid.
 
-    Computed in the interaction frame: G(t) = S(-t) F(t), then a
-    cumulative trapezoid from the central sample (t = 0 must be on the
-    grid, so the sample count must be odd), then S(t) out front, both
-    flows by _free_flow and the trapezoid as a cumsum of the half-sums,
-    in one working array.  No time cutoff is applied here; callers
-    multiply by psi as needed.
+    Computed in the interaction frame: G(t) = S(-t) F(t), integrated
+    interval by interval with the cubic through four neighbouring
+    samples, dt/24 (-G_{j-1} + 13 G_j + 13 G_{j+1} - G_{j+2}) on
+    [t_j, t_{j+1}], and the one-sided dt/24 (9, 19, -5, 1) on the
+    window's first and last intervals (a fourth-order Gregory-type rule;
+    Linz, Analytical and Numerical Methods for Volterra Equations, SIAM
+    1985).  The interval sums are accumulated and anchored at the
+    central sample (t = 0 must be on the grid, so the sample count must
+    be odd and, for four points, at least 5), then S(t) goes out front.
+    Both flows are by _free_flow; the rule holds one window-sized
+    increment array.  No time cutoff is applied here; callers multiply
+    by psi as needed.
     """
-    if forcing.n_samples % 2 == 0:
-        raise ValueError("need an odd sample count (t = 0 on the grid)")
+    n = forcing.n_samples
+    if n % 2 == 0 or n < 5:
+        raise ValueError(
+            f"the 4-point Duhamel rule needs an odd n_samples >= 5 (t = 0 on the grid), got {n}"
+        )
     g = forcing.grid
     cum = _free_flow(forcing.data, g, -forcing.times)
-    half = forcing.dt * (cum[1:] + cum[:-1]) / 2.0
+    # inc[j] is the integral over [t_j, t_{j+1}], in units of dt/24
+    inc = cum[1:] + cum[:-1]
+    inc[1:-1] *= 13.0
+    inc[1:-1] -= cum[:-3]
+    inc[1:-1] -= cum[3:]
+    inc[0] = 9.0 * cum[0] + 19.0 * cum[1] - 5.0 * cum[2] + cum[3]
+    inc[-1] = 9.0 * cum[-1] + 19.0 * cum[-2] - 5.0 * cum[-3] + cum[-4]
+    inc *= forcing.dt / 24.0
     cum[0] = 0.0
-    np.cumsum(half, axis=0, out=cum[1:])
-    cum -= cum[forcing.n_samples // 2].copy()
+    np.cumsum(inc, axis=0, out=cum[1:])
+    cum -= cum[n // 2].copy()
     return Trajectory(g, forcing.t_half, _free_flow(cum, g, forcing.times, out=cum))
 
 

@@ -103,6 +103,28 @@ def test_simulate_rejects_dt_not_dividing_t(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_shipped_snapshots_fall_every_half_window():
+    # the shipped [solver] dt and [simulate] snapshot_stride save a slice
+    # every T/2 of the window [-2T, 2T], 9 per run (a halving halves T
+    # and dt together)
+    st = Settings(_load_config(None), "simulate", {})
+    T, dt, stride = st.get("T"), st.get("dt"), st.get("snapshot_stride")
+    n_samples = int(round(4.0 * T / dt)) + 1
+    assert len(range(0, n_samples, stride)) == 9
+    assert stride * dt == pytest.approx(T / 2.0, rel=1e-12)
+
+
+def test_linear_check_short_window_exit_1(tmp_path, capsys):
+    # the Duhamel rule needs 5 samples; n_samples=3 wrote a b3 row whose
+    # lhs was 0 and exited 0
+    out = tmp_path / "out"
+    argv = ["linear-check", "--out-dir", str(out), "n_modes=2", "v_points=8", "n_samples=3"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "n_samples >= 5" in err and "got 3" in err
+    assert not out.exists()
+
+
 def test_missing_config_exit_1(tmp_path, capsys):
     code = run(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1

@@ -49,7 +49,7 @@ def test_time_dft_roundtrip_and_parseval():
 def test_duhamel_fundamental_theorem():
     # d/dt of duhamel_integral(F) at the sample level reproduces
     # S(t) acting on the interaction-frame antiderivative; check the
-    # defining property at t = 0 and additivity of the trapezoid rule.
+    # defining property at t = 0.
     g = _grid()
     traj = make_trajectory(g, 1.0, 9)
     rng = np.random.default_rng(1)
@@ -72,12 +72,26 @@ def test_duhamel_constant_forcing_linear_growth():
     assert np.allclose(out.data[0, 0, 0], -1.0 * prof[0, 0], atol=1e-12)
 
 
-@pytest.mark.parametrize("d, n_modes, v_points, n_samples", [(2, 4, 8, 17), (3, 4, 4, 9)])
-def test_duhamel_matches_scipy_cumulative_trapezoid(d, n_modes, v_points, n_samples):
-    # reference: scipy's cumulative trapezoid in the interaction frame,
-    # anchored at t = 0, with dense exp(-i t n.v) phases
-    from scipy.integrate import cumulative_trapezoid
+def _four_point_cumsum(G, dt):
+    """The Duhamel rule interval by interval, weights written out, summed
+    from the first sample and anchored at the central one."""
+    n = len(G)
+    cum = np.zeros_like(G)
+    for j in range(n - 1):
+        if j == 0:
+            w, pts = (9, 19, -5, 1), (0, 1, 2, 3)
+        elif j == n - 2:
+            w, pts = (1, -5, 19, 9), (n - 4, n - 3, n - 2, n - 1)
+        else:
+            w, pts = (-1, 13, 13, -1), (j - 1, j, j + 1, j + 2)
+        cum[j + 1] = cum[j] + dt / 24.0 * sum(wi * G[p] for wi, p in zip(w, pts))
+    return cum - cum[n // 2]
 
+
+@pytest.mark.parametrize("d, n_modes, v_points, n_samples", [(2, 4, 8, 17), (3, 4, 4, 9)])
+def test_duhamel_matches_dense_four_point_reference(d, n_modes, v_points, n_samples):
+    # reference: the 4-point rule in the interaction frame, anchored at
+    # t = 0, with dense exp(-i t n.v) phases
     g = make_grid(d=d, n_modes=n_modes, v_points=v_points, v_extent=4.0)
     traj = make_trajectory(g, 0.8, n_samples)
     rng = np.random.default_rng(3)
@@ -87,9 +101,43 @@ def test_duhamel_matches_scipy_cumulative_trapezoid(d, n_modes, v_points, n_samp
     out = duhamel_integral(traj)
     assert np.array_equal(traj.data, before)
     phase = np.exp(-1j * traj.times[(...,) + (None,) * (2 * d)] * _nv_dot(g))
-    cum = cumulative_trapezoid(np.conj(phase) * before, dx=traj.dt, axis=0, initial=0.0)
-    ref = phase * (cum - cum[n_samples // 2])
+    ref = phase * _four_point_cumsum(np.conj(phase) * before, traj.dt)
     assert np.max(np.abs(out.data - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_samples", [5, 9])
+def test_duhamel_integrates_a_cubic_to_rounding(n_samples):
+    # on the n = 0 modes S is the identity, so a forcing cubic in t has
+    # the exact integral H(t) = int_0^t h; the trapezoid misses it by O(dt^2)
+    g = _grid()
+    traj = make_trajectory(g, 1.0, n_samples)
+    t = traj.times
+    h = 1.0 + 2.0 * t - 3.0 * t**2 + 0.7 * t**3
+    exact = t + t**2 - t**3 + 0.175 * t**4
+    prof = np.zeros(g.shape, dtype=np.complex128)
+    prof[0, 0] = random_field(g, seed=4).data[0, 0]
+    traj.data = traj.data + h[:, None, None, None, None] * prof[None]
+    out = duhamel_integral(traj)
+    ref = exact[:, None, None, None, None] * prof[None]
+    assert np.max(np.abs(out.data - ref)) <= 1e-14 * np.max(np.abs(ref))
+    trap = np.concatenate([[0.0], np.cumsum(traj.dt * (h[1:] + h[:-1]) / 2.0)])
+    assert np.max(np.abs(trap - trap[n_samples // 2] - exact)) > 1e-3
+
+
+def test_duhamel_error_falls_fourth_order():
+    # F = S(t) (cos(2t) phi) has the exact integral S(t) (sin(2t)/2 phi);
+    # each halving of dt cuts the error about 16x (the trapezoid's 4x)
+    g = _grid()
+    phi = random_field(g, seed=5)
+    errs = []
+    for n_samples in (17, 33, 65):
+        forcing = sample_free_evolution(phi, 1.0, n_samples)
+        exact = sample_free_evolution(phi, 1.0, n_samples)
+        t = forcing.times[:, None, None, None, None]
+        forcing.data *= np.cos(2.0 * t)
+        exact.data *= np.sin(2.0 * t) / 2.0
+        errs.append(np.max(np.abs(duhamel_integral(forcing).data - exact.data)))
+    assert all(a >= 12.0 * b for a, b in zip(errs, errs[1:])), errs
 
 
 def test_simulate_does_not_import_scipy_integrate(tmp_path):
