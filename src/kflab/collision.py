@@ -14,8 +14,15 @@ the two matrices are related by M_k[xi] = conj(M_j[-xi]), because
 xi_plus_k(xi) = -xi_plus_j(-xi).  So one real product of the stacked
 [Re M_j; Im M_j] with the columns gives both M_j f and M_k f, the latter
 by a fixed row gather; the rows of M_k whose xi has a +P/2 component
-(-xi is not on the grid) are evaluated directly.  Columns go through in
-blocks of whole slices so the elementwise work stays in cache.
+(-xi is not on the grid) are evaluated directly.  The stacks live on
+the half-cell-shifted grid w = v + dv/2, symmetric about 0, where
+M_j = exp(-i (dv/2) sum_a eta_a) W_j and Re W_j, Im W_j are even and
+odd in w: over the half w_1 > 0 they act on the even and odd folds
+c(w) +- c(-w) of the columns, so each real product takes half the
+columns.  xi_plus + xi_minus = xi, so the shift leaves one phase,
+exp(-i (dv/2) sum_a xi_a), applied to the xi-grid sum on its way back
+to v.  Columns go through in blocks of whole slices, each folded once,
+so the elementwise work stays in cache.
 
 Q is local in x and the products are pointwise per x-node, on one
 x-grid shared by the gain, the loss, the oracle and
@@ -202,13 +209,17 @@ def _pair_columns(f: PhaseField, g: PhaseField, columns):
 
 # ---------------------------------------------------------------------------
 # Antipodal-pair stacks and their cache.  For a node pair omega_k = -omega_j
-# the stack holds the float64 rows [Re M_j; Re M_k[nyq]; Im M_j; -Im M_k[nyq]],
-# nyq being the xi rows with a +P/2 component.  The stacks depend only on
-# (grid, quadrature).  A Picard solve batches every time slice into one
-# gain call per sweep, so the cache saves one build per sweep; the cap
-# keeps large grids from holding them between calls.  The check counts
-# n_nodes complex P^d x P^d matrices; the n_nodes/2 real stacks take
-# about half of that.  One slot.
+# the stack holds the float64 rows [Re W_j; Re W_k[nyq]; Im W_j; -Im W_k[nyq]]
+# over the P^d/2 columns w_1 > 0 of the shifted grid w = v + dv/2, W being
+# M without the shift's row phase and nyq the xi rows with a +P/2
+# component.  The stacks depend only on (grid, quadrature).  A Picard
+# solve batches every time slice into one gain call per sweep, so the
+# cache saves one build per sweep; the cap keeps large grids from holding
+# them between calls.  The check counts n_nodes dense complex P^d x P^d
+# matrices, about four times the bytes of the n_nodes/2 half stacks, and
+# it must stay so: counting the stacks themselves would cache bench
+# gain-fine's 16 stacks (142 MB) and raise its peak memory by as much.
+# One slot.
 
 _MAT_CACHE: dict = {}
 _MAT_CACHE_CAP_BYTES = 500_000_000
@@ -245,14 +256,18 @@ def _fill_pair_stack(
     grid: GridSpec, omega: np.ndarray, nyq: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Write the stack of the pair (omega, -omega) into ``out``, shape
-    (2 (P^d + nyq.size), P^d), a block of complex rows at a time; each
-    block's phase matrix takes at most 1 MiB (64 rows at P^d = 1024)."""
+    (2 (P^d + nyq.size), P^d / 2): the real and imaginary parts of
+    xi_phase_matrix on the shifted nodes (w_1 > 0, w, ...), w = v + dv/2
+    taken symmetric to the bit, a block of complex rows at a time; each
+    block's phase matrix takes at most 1 MiB (128 rows at P^d = 1024)."""
     pts = np.concatenate([_plus_points(grid, omega), _plus_points(grid, -omega)[nyq]])
+    half = grid.dv * (np.arange(grid.v_points // 2) + 0.5)
+    nodes = [half] + [np.concatenate([-half[::-1], half])] * (grid.d - 1)
     h = len(pts)
-    rows = max(1, (1 << 16) // grid.v_points**grid.d)
+    rows = max(1, (1 << 16) // out.shape[1])
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        mat = xi_phase_matrix(grid, pts[r0:r1])
+        mat = xi_phase_matrix(grid, pts[r0:r1], nodes)
         out[r0:r1] = mat.real
         out[h + r0 : h + r1] = mat.imag
     out[2 * h - nyq.size :] *= -1.0
@@ -274,7 +289,7 @@ def _pair_stacks(
     """The stacks of ``pairs`` in order: the cached list (built on a
     miss), or, on a bypass, one buffer refilled per pair."""
     n_pts = grid.v_points**grid.d
-    shape = (2 * (n_pts + nyq.size), n_pts)
+    shape = (2 * (n_pts + nyq.size), n_pts // 2)
     path = _gain_cache_path(grid, quad)
     if path == "bypass":
         buf = np.empty(shape)
@@ -293,25 +308,36 @@ def _flat(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _pair_values(stack: np.ndarray, cols: np.ndarray, gather: np.ndarray, groups: int, work):
-    """The xi-grid values of one pair's products, for its stack and a
-    column block c (contiguous last axis) of f's columns, then g's if
-    ``groups`` is 2: shape (products, 2, P^d, group columns), each product
-    the two factors it multiplies, (M_j f, M_k f) for f alone, else
-    (M_j f, M_k g) and (M_k f, M_j g).  The Re rows act on c and the Im
-    rows on c times i, both as real products; their sum is M_j c, and
-    their difference, gathered, is M_k c = conj(M_j)[-xi] c.  ``work``
+def _fold(cols: np.ndarray) -> tuple:
+    """The (even, odd) folds of columns c (P^d rows, the v-grid in flat C
+    order) over the half w_1 > 0 of the shifted grid, rows P^d/2 on:
+    c(w) + c(-w) and c(w) - c(-w), the mirror -w of row r being row
+    P^d - 1 - r.  Both are C-contiguous (P^d/2, columns)."""
+    n = cols.shape[0] // 2
+    top, mirror = cols[n:], cols[n - 1 :: -1]
+    return top + mirror, top - mirror
+
+
+def _pair_values(stack: np.ndarray, folds: tuple, gather: np.ndarray, groups: int, work):
+    """The xi-grid values of one pair's products, without the shift's
+    common phase, for its stack and the (even, odd) folds (_fold) of a
+    column block c of f's columns, then g's if ``groups`` is 2: shape
+    (products, 2, P^d, group columns), each product the two factors it
+    multiplies, (W_j f, W_k f) for f alone, else (W_j f, W_k g) and
+    (W_k f, W_j g).  The Re rows act on the even fold and the Im rows on
+    the odd fold times i, both as real products; their sum is W_j c, and
+    their difference, gathered, is W_k c = conj(W_j)[-xi] c.  ``work``
     holds three flat complex buffers, for the two products and the
     result, which the next call overwrites."""
     h = stack.shape[0] // 2
-    n, m = gather.size, cols.shape[1]
+    n, m = gather.size, folds[0].shape[1]
     b = m // groups
     re, im = _flat(work[0], (h, m)), _flat(work[1], (h, m))
-    np.matmul(stack[:h], cols.view(np.float64), out=re.view(np.float64))
-    np.matmul(stack[h:], cols.view(np.float64), out=im.view(np.float64))
+    np.matmul(stack[:h], folds[0].view(np.float64), out=re.view(np.float64))
+    np.matmul(stack[h:], folds[1].view(np.float64), out=im.view(np.float64))
     im *= 1j
     out = _flat(work[2], (groups, 2, n, b))
-    # where M_j c and M_k c of each group go
+    # where W_j c and W_k c of each group go
     slots = [(out[0, 0], out[0, 1])] if groups == 1 else [(out[0, 0], out[1, 0]),
                                                           (out[1, 1], out[0, 1])]
     for k, (mj, _) in enumerate(slots):
@@ -324,8 +350,8 @@ def _pair_values(stack: np.ndarray, cols: np.ndarray, gather: np.ndarray, groups
 
 def _pair_sums(grid, quad, blocks, groups, sizes):
     """Add to each block's xi-grid gain (x-node, xi, slice) the weighted
-    pointwise products of every antipodal pair over the block's columns
-    (_pair_values), their two factors taken to the x-nodes by the
+    pointwise products of every antipodal pair over the block's column
+    folds (_pair_values), their two factors taken to the x-nodes by the
     synthesis matrices of grid.  The temporaries live in buffers sized
     for the first (largest) block and are freed on return."""
     w = quad.weights
@@ -335,7 +361,7 @@ def _pair_sums(grid, quad, blocks, groups, sizes):
     # the stacks first, so that a cache miss builds them below the buffers
     stacks = _pair_stacks(grid, quad, pairs, nyq)
     n, h = gather.size, gather.size + nyq.size
-    m = blocks[0][0].shape[1]
+    m = blocks[0][0][0].shape[1]
     # the Re and Im products, the factors, one product's factors at the x-nodes
     work = [np.empty(k, dtype=np.complex128)
             for k in (h * m, h * m, 2 * n * m, 2 * n * m // groups * math.prod(sizes)
@@ -344,8 +370,8 @@ def _pair_sums(grid, quad, blocks, groups, sizes):
         # node j gives w_j f_j g_k and node k gives w_k f_k g_j: for f
         # alone, one product
         weights = [w[j] + w[k]] if groups == 1 else [w[j], w[k]]
-        for cols, acc in blocks:
-            for factors, weight in zip(_pair_values(stack, cols, gather, groups, work), weights):
+        for folds, acc in blocks:
+            for factors, weight in zip(_pair_values(stack, folds, gather, groups, work), weights):
                 vals = _x_values_front(mats, factors.reshape((-1,) + grid.mode_counts), work[3])
                 vals = vals.reshape((acc.shape[0], 2) + acc.shape[1:])
                 prod = vals[:, 0]
@@ -364,32 +390,34 @@ def _gain_columns(
     Antipodal node pairs share one stack and one real product per column
     block, a run of whole slices with at most _GAIN_BLOCK mode columns
     (or one slice); when gc is not fc, the block's f and g columns share
-    the product (_pair_values).  The phase matrices act on v alone, so
-    they commute with the x-synthesis: the products act on the stored
-    modes, and the synthesis matrices of grid take the two factors of
-    each pointwise product to the x-nodes (_pair_sums).  A node set
-    without antipodal symmetry is a ValueError.  The xi-grid sum returns
-    to v in place by the FFT of xi_to_v.
+    the product (_pair_values), on the block's (even, odd) folds (_fold),
+    formed once.  The phase matrices act on v alone, so they commute with
+    the x-synthesis: the products act on the stored modes, and the
+    synthesis matrices of grid take the two factors of each pointwise
+    product to the x-nodes (_pair_sums).  A node set without antipodal
+    symmetry is a ValueError.  The xi-grid sum, times the shift's common
+    phase, returns to v in place by the FFT of xi_to_v.
     """
     p, d = grid.v_points, grid.d
     n_modes = math.prod(grid.mode_counts)
     n_slices = fc.shape[1] // n_modes
     step = max(1, _GAIN_BLOCK // n_modes)
     same = gc is fc
-    # per block: its columns, and its xi-grid gain at (x-node, xi, slice),
-    # the layout of _x_values_front
+    # per block: its column folds, and its xi-grid gain at (x-node, xi,
+    # slice), the layout of _x_values_front
     blocks = []
     for s0 in range(0, n_slices, step):
         sl = slice(s0 * n_modes, min(s0 + step, n_slices) * n_modes)
         cols = fc[:, sl] if same else np.concatenate([fc[:, sl], gc[:, sl]], axis=1)
         shape = (math.prod(sizes), p**d, sl.stop // n_modes - s0)
-        blocks.append((cols, np.zeros(shape, dtype=np.complex128)))
+        blocks.append((_fold(cols), np.zeros(shape, dtype=np.complex128)))
     _pair_sums(grid, quad, blocks, 1 if same else 2, sizes)
 
     # to the columns of _x_columns: (xi, slice, x-node)
     gain_xi = np.concatenate([acc.transpose(1, 2, 0) for _, acc in blocks], axis=1)
     del blocks
-    gain_v = _xi_to_v_inplace(grid, gain_xi.reshape((p,) * d + (-1,)), tuple(range(d)))
+    gain_v = _xi_to_v_inplace(grid, gain_xi.reshape((p,) * d + (-1,)), tuple(range(d)),
+                              grid.dv / 2)
     return gain_v.reshape(p**d, -1)
 
 

@@ -23,7 +23,10 @@ With these choices ``ftil`` is a trigonometric polynomial in ``xi``,
 periodic with period ``2pi/dv`` per axis, and the discrete Plancherel
 identity reads ``dxi^d sum_xi |ftil|^2 = (2pi)^d dv^d sum_v |fhat|^2``.
 The off-grid evaluator, ``grid.xi_phase_matrix``, uses the identical sum
-at arbitrary ``xi``.
+at arbitrary ``xi``; it also evaluates on given per-axis nodes, such as
+the gain's half-cell-shifted grid ``w = v + dv/2``, whose phase
+``exp(-i (dv/2) sum_a xi_a)`` the gain restores in its transform back to
+``v``.
 
 Collision constants
 -------------------

@@ -387,11 +387,15 @@ def xi_to_v(grid: GridSpec, ftil: np.ndarray) -> PhaseField:
     return PhaseField(grid, _xi_to_v_inplace(grid, out, grid.v_axes))
 
 
-def _xi_to_v_inplace(grid: GridSpec, arr: np.ndarray, axes) -> np.ndarray:
+def _xi_to_v_inplace(grid: GridSpec, arr: np.ndarray, axes, shift: float = 0.0) -> np.ndarray:
     """The xi_to_v transform over ``axes`` of a complex128 array, reusing
     its buffer: the per-axis phase multiplies, the FFT and the scaling
-    all write into ``arr``, which is returned."""
+    all write into ``arr``, which is returned.  A nonzero ``shift`` s
+    adds the factor exp(-i s xi_a) to each axis's phase: ``arr`` then
+    holds xi-values whose phases were taken at v + s on every axis."""
     ph = np.conj(_v_to_xi_axis_phases(grid))
+    if shift:
+        ph *= np.exp(-1j * shift * grid.xi_1d)
     for ax in axes:
         shape = [1] * arr.ndim
         shape[ax] = grid.v_points
@@ -401,22 +405,25 @@ def _xi_to_v_inplace(grid: GridSpec, arr: np.ndarray, axes) -> np.ndarray:
     return arr
 
 
-def xi_phase_matrix(grid: GridSpec, points: np.ndarray) -> np.ndarray:
+def xi_phase_matrix(grid: GridSpec, points: np.ndarray, nodes=None) -> np.ndarray:
     """The (npts, v_points^d) matrix dv^d exp(i xi.v) of exact off-grid
     evaluation at ``points`` (npts, d), v in flat C order: the one
     off-grid xi evaluator, ``xi_phase_matrix(g, pts) @ coeffs`` with one
-    column of v-coefficients per x-node or mode.
+    column of v-coefficients per x-node or mode.  ``nodes``, d per-axis
+    1-D arrays (default grid.v_1d on every axis), puts v on their tensor
+    grid instead, with one column per node tuple.
 
     The phase separates over the tensor v-grid, exp(i xi.v) =
     prod_a exp(i xi_a v_a), so the matrix is a row-wise product of d
-    (npts, v_points) exponential tables: one complex exp per point and
+    (npts, axis nodes) exponential tables: one complex exp per point and
     axis node, then one broadcast multiply per axis.
     """
     points = np.asarray(points, dtype=float)
     npts = len(points)
-    out = np.exp(1j * np.outer(points[:, 0], grid.v_1d)) * grid.dv**grid.d
+    nodes = [grid.v_1d] * grid.d if nodes is None else nodes
+    out = np.exp(1j * np.outer(points[:, 0], nodes[0])) * grid.dv**grid.d
     for a in range(1, grid.d):
-        table = np.exp(1j * np.outer(points[:, a], grid.v_1d))
+        table = np.exp(1j * np.outer(points[:, a], nodes[a]))
         out = (out[:, :, None] * table[:, None, :]).reshape(npts, -1)
     return out
 

@@ -412,6 +412,67 @@ def test_gain_columns_blocks_match_dense(d, v_points, n_nodes, monkeypatch):
                         _dense_mode_gain(g, quad, fc, other, sizes)) <= 1e-13
 
 
+@pytest.mark.parametrize("d, v_points, counts", [
+    (2, 8, None), (2, 16, None), (3, 8, None), (2, 8, (8, 1)),
+])
+def test_half_stack_fold_identity(d, v_points, counts):
+    # one pair's half stack on the shifted grid w = v + dv/2, applied to
+    # the (even, odd) folds of random columns and times each row's shift
+    # phase exp(-i (dv/2) sum_a eta_a), is the dense off-grid evaluation
+    # M c: at xi+ of omega directly, and at xi+ of -omega through the row
+    # gather and the directly evaluated nyq rows
+    from dataclasses import replace
+
+    from kflab import collision
+    from kflab.collision import _fold, _mirror_rows, _plus_points
+    from kflab.grid import xi_phase_matrix
+
+    g = replace(make_grid(d=d, n_modes=8, v_points=v_points, v_extent=6.0),
+                mode_counts=counts)
+    quad = sphere_quadrature(d, 8)
+    pairs = [(j, int(k)) for j, k in enumerate(quad.antipode_map()) if j < k]
+    nyq, gather = _mirror_rows(g)
+    n = v_points**d
+    h = n + nyq.size
+    collision._MAT_CACHE.clear()
+    stack = collision._pair_stacks(g, quad, pairs, nyq)[1]
+    omega = quad.nodes[pairs[1][0]]
+    # half the columns, so half the bytes, of a (2h, P^d) float64 stack
+    assert stack.shape == (2 * h, n // 2) and stack.dtype == np.float64
+    c = _columns(g, 30, 5)
+    even, odd = _fold(c)
+    re, im = stack[:h] @ even, stack[h:] @ odd
+    for sign, vals in ((1.0, (re + 1j * im)[:n]), (-1.0, (re - 1j * im)[gather])):
+        pts = _plus_points(g, sign * omega)
+        shift = np.exp(-0.5j * g.dv * pts.sum(axis=1))[:, None]
+        assert _rel(shift * vals, xi_phase_matrix(g, pts) @ c) <= 1e-13
+
+
+def test_gain_cache_regimes_of_the_bench_grids():
+    # The cap counts n_nodes dense complex P^d x P^d matrices, not the
+    # half stacks it caches, which take about a quarter of those bytes.
+    # Counting the stacks themselves would cache the 16 stacks (142 MB)
+    # of the bench gain-fine cell and raise its peak memory by as much:
+    # that cell must stay a bypass, and the shipped solve must hit.
+    from kflab import collision, restrict_modes
+    from kflab.cli import Settings, _grid_from, _load_config, _quadrature, _solver_setup
+
+    st = Settings(_load_config(None), "gain-check", {"v_points": "32", "nodes": "32"})
+    g, quad = _grid_from(st), _quadrature(st)
+    assert (g.d, g.n_modes, g.v_extent, g.v_points, quad.n_nodes) == (2, 8, 4.0, 32, 32)
+    assert collision._gain_cache_path(g, quad) == "bypass"
+    n = g.v_points**g.d
+    stack_bytes = quad.n_nodes // 2 * 2 * (n + collision._mirror_rows(g)[0].size) * n // 2 * 8
+    assert 140e6 < stack_bytes < collision._MAT_CACHE_CAP_BYTES
+    config, f0 = _solver_setup(Settings(_load_config(None), "simulate", {}))
+    f0 = restrict_modes(f0)
+    collision._MAT_CACHE.clear()
+    assert collision._gain_cache_path(f0.grid, config.quad) == "miss"
+    fc = collision._mode_columns(f0.grid, f0.data)
+    collision._gain_columns(f0.grid, config.quad, fc, fc, collision._padded_sizes(f0.grid, True))
+    assert collision._gain_cache_path(f0.grid, config.quad) == "hit"
+
+
 def test_gain_cache_bypass_matches_cached(monkeypatch):
     from kflab import collision
 

@@ -280,6 +280,15 @@ def test_eval_xi_gaussian_offgrid():
     assert val == pytest.approx(expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_xi_phase_matrix_default_nodes_are_v_1d(d):
+    # explicit nodes equal to v_1d give the default matrix to the bit
+    g = make_grid(d=d, n_modes=2, v_points=8, v_extent=4.0)
+    pts = np.random.default_rng(6).uniform(-5.0, 5.0, (20, d))
+    explicit = xi_phase_matrix(g, pts, [g.v_1d] * d)
+    assert np.array_equal(explicit, xi_phase_matrix(g, pts))
+
+
 def test_conjugate_symmetry_defect():
     g = make_grid(d=2, n_modes=8, v_points=8, v_extent=4.0)
     real_fld = random_field(g, seed=5, real=True)
