@@ -35,8 +35,8 @@ def main() -> None:
         grid = make_grid(d=2, n_modes=4, v_points=v_points, v_extent=6.0)
         quad = sphere_quadrature(2, nodes)
         f = smooth_field(grid)
-        fast = gain_bobylev(f, f, quad, dealias=False)
-        slow = gain_direct_oracle(f, f, quad, dealias=False)
+        fast = gain_bobylev(f, f, quad)
+        slow = gain_direct_oracle(f, f, quad)
         err = np.sqrt(np.sum(np.abs(fast.data - slow.data) ** 2))
         err /= np.sqrt(np.sum(np.abs(slow.data) ** 2))
         print(f"  ({v_points:2d}, {nodes:2d}) -> {err:.3e}")

@@ -40,8 +40,8 @@ def _parser() -> configparser.ConfigParser:
 
 def _load_config(config_path: str | None) -> list:
     """The parsed shipped defaults, then the user config file if given;
-    a user section that the shipped file does not have is a ValueError
-    naming it."""
+    a user file that cannot be parsed, or a user section that the shipped
+    file does not have, is a ValueError naming it."""
     shipped = _parser()
     with resources.files("kflab").joinpath("data/defaults.cfg").open() as fh:
         shipped.read_file(fh)
@@ -50,7 +50,11 @@ def _load_config(config_path: str | None) -> list:
     if not os.path.isfile(config_path):
         raise FileNotFoundError(f"config file not found: {config_path}")
     user = _parser()
-    user.read(config_path)
+    try:
+        user.read(config_path)
+    except configparser.Error as exc:
+        detail = " ".join(str(exc).split())
+        raise ValueError(f"cannot parse config file {config_path}: {detail}") from None
     unknown = sorted(set(user.sections()) - set(shipped.sections()))
     if unknown:
         raise ValueError(f"unknown section(s) in {config_path}: {', '.join(unknown)}")
@@ -213,6 +217,16 @@ def _max_slope(report, x_col: str, group_col: str | None = None):
     return max(slopes) if slopes else None
 
 
+def _slope_gate(experiment: str, slope, slope_max: float) -> int:
+    """Exit code of a slope gate; with fewer than two N values there is
+    no slope, and the skipped gate is a stderr warning and exit 0."""
+    if slope is None:
+        print(f"kflab: warning: {experiment}: slope gate skipped: fewer than two N values",
+              file=sys.stderr)
+        return 0
+    return 0 if slope <= slope_max else 2
+
+
 def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
     slope_max = st.get("slope_max")
     grid, Ns, Ms = _grid_from(st), st.get_list("Ns"), st.get_list("Ms")
@@ -239,7 +253,7 @@ def _run_strichartz(st: Settings, seed: int, out_dir: str) -> int:
         "l4_workers": norms._l4_workers(),
         "l4_split_cells": sum(norms._slice_workers(c) > 1 for _, _, c in cells),
     })
-    return 0 if slope is None or slope <= slope_max else 2
+    return _slope_gate(st.section, slope, slope_max)
 
 
 def _run_bilinear(st: Settings, seed: int, out_dir: str) -> int:
@@ -347,7 +361,7 @@ def _run_counting(st: Settings, seed: int, out_dir: str) -> int:
     report.write(out_dir)
     slope = _max_slope(report, "N")
     _write_json(out_dir, "counting_summary.json", {"max_ratio_slope_vs_N": slope})
-    return 0 if slope is None or slope <= slope_max else 2
+    return _slope_gate(st.section, slope, slope_max)
 
 
 def _run_conservation(st: Settings, seed: int, out_dir: str) -> int:

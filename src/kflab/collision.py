@@ -27,8 +27,8 @@ so the elementwise work stays in cache.
 Q is local in x and the products are pointwise per x-node, on one
 x-grid shared by the gain, the loss, the oracle and
 ``collide_trajectory``.  ``_padded_sizes`` is the one statement of that
-grid: quadratic products in x are dealiased by zero-padded synthesis
-(3/2 rule), on by default, on every axis of count n_modes, and an axis
+grid: quadratic products in x are always formed on the zero-padded
+x-nodes of the 3/2 rule, on every axis of count n_modes, and an axis
 of count 1 gets one x-node; no data are read to size it.  The phase
 matrices act on v alone and commute with the x-synthesis, so the gain
 applies them to the stored modes, ``_mode_columns`` (P^d, slices *
@@ -159,14 +159,11 @@ def sphere_quadrature(d: int, n_nodes: int) -> SphereQuadrature:
 # The one x-path: the padded x-grid (3/2 rule), the column pair and the loss.
 
 
-def _padded_sizes(grid: GridSpec, dealias: bool) -> tuple:
+def _padded_sizes(grid: GridSpec) -> tuple:
     """Per-axis size of the collision's x-grid: the even 3/2-rule count
-    (n_modes without dealiasing) on an axis of count n_modes, one x-node
-    on an axis of count 1."""
-    m = grid.n_modes
-    if dealias:
-        m = (3 * m + 1) // 2
-        m += m % 2
+    on an axis of count n_modes, one x-node on an axis of count 1."""
+    m = (3 * grid.n_modes + 1) // 2
+    m += m % 2
     return tuple(m if c > 1 else 1 for c in grid.mode_counts)
 
 
@@ -421,9 +418,7 @@ def _gain_columns(
     return gain_v.reshape(p**d, -1)
 
 
-def gain_bobylev(
-    f: PhaseField, g: PhaseField, quad: SphereQuadrature, dealias: bool = True
-) -> PhaseField:
+def gain_bobylev(f: PhaseField, g: PhaseField, quad: SphereQuadrature) -> PhaseField:
     """Spectral gain term via the velocity-dual sphere integral.
 
     Per x-node, evaluates ``sum_j w_j ftil(xi_plus_j) gtil(xi_minus_j)``
@@ -435,7 +430,7 @@ def gain_bobylev(
     grid = f.grid
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
-    sizes = _padded_sizes(grid, dealias)
+    sizes = _padded_sizes(grid)
     fc, gc = _pair_columns(f, g, lambda data: _mode_columns(grid, data))
     return PhaseField(grid, _x_from_columns(grid, _gain_columns(grid, quad, fc, gc, sizes), sizes)[0])
 
@@ -444,7 +439,6 @@ def collide_trajectory(
     stack: np.ndarray,
     grid: GridSpec,
     quad: SphereQuadrature,
-    dealias: bool = True,
     active=None,
 ) -> np.ndarray:
     """Q(f_j, f_j) = gain - loss for a stack of fields, shape (S,) + grid.shape.
@@ -462,10 +456,10 @@ def collide_trajectory(
     support grid of x_1-only data with n_modes = 8, each slice costs 8
     gain columns and 12 x-nodes, not the 64 and 144 of the full grid.
     """
-    return _collide_stack(stack, grid, quad, dealias, active)
+    return _collide_stack(stack, grid, quad, active)
 
 
-def _collide_stack(stack, grid, quad, dealias, active):
+def _collide_stack(stack, grid, quad, active):
     """Body of :func:`collide_trajectory`, shared with :func:`collide`."""
     if quad.d != grid.d:
         raise ValueError("quadrature dimension does not match grid")
@@ -474,7 +468,7 @@ def _collide_stack(stack, grid, quad, dealias, active):
     idx = np.flatnonzero(active)
     if idx.size == 0:
         return np.zeros_like(stack)
-    sizes = _padded_sizes(grid, dealias)
+    sizes = _padded_sizes(grid)
     # each staging array spans the whole window, so it is dropped as soon
     # as it is used and the solve's peak memory stays that of the gain;
     # the x-columns are synthesized after the gain, for the loss alone,
@@ -492,20 +486,18 @@ def _collide_stack(stack, grid, quad, dealias, active):
     return out
 
 
-def loss_bobylev(
-    f: PhaseField, g: PhaseField, dealias: bool = True, area: float | None = None
-) -> PhaseField:
-    """Loss term: area * f(x, v) * (discrete integral of g(x, .) dv).
+def loss_bobylev(f: PhaseField, g: PhaseField) -> PhaseField:
+    """Loss term: |S^(d-1)| * f(x, v) * (discrete integral of g(x, .) dv).
 
-    ``area`` defaults to the full sphere measure; pass the total weight of
-    a quadrature to keep gain and loss on the same angular measure.
+    The angular measure is the full sphere area, which is the total
+    weight of every rule sphere_quadrature builds, so this is the loss
+    that :func:`collide` subtracts.
     """
     grid = f.grid
-    sizes = _padded_sizes(grid, dealias)
+    sizes = _padded_sizes(grid)
     fv, gv = _pair_columns(f, g, lambda data: _x_columns(grid, data, sizes))
-    if area is None:
-        area = sphere_area(grid.d)
-    return PhaseField(grid, _x_from_columns(grid, _loss_columns(grid, area, fv, gv), sizes)[0])
+    loss = _loss_columns(grid, sphere_area(grid.d), fv, gv)
+    return PhaseField(grid, _x_from_columns(grid, loss, sizes)[0])
 
 
 def _interp_matrix(grid: GridSpec, points: np.ndarray):
@@ -548,9 +540,7 @@ def _interp_matrix(grid: GridSpec, points: np.ndarray):
 _ORACLE_X_CHUNK = 8
 
 
-def gain_direct_oracle(
-    f: PhaseField, g: PhaseField, quad: SphereQuadrature, dealias: bool = True
-) -> PhaseField:
+def gain_direct_oracle(f: PhaseField, g: PhaseField, quad: SphereQuadrature) -> PhaseField:
     """Slow reference gain term: physical-space scattering quadrature.
 
     Per x-node, sums ``dv^d * w_j * f(v - (omega.(v-u)) omega)
@@ -568,7 +558,7 @@ def gain_direct_oracle(
 
     Q is local in x, so the oracle runs on the joint x-support of f and
     g (one restrict_modes of the pair) and embeds its result: on
-    x_1-only data with n_modes = 8 it visits 8 x-nodes, not 64.
+    x_1-only data with n_modes = 8 it visits 12 x-nodes, not 144.
     """
     _check_same_grid(f, g)
     if quad.d != f.grid.d:
@@ -577,7 +567,7 @@ def gain_direct_oracle(
     # restrict_modes call takes their joint support
     pair = restrict_modes(Trajectory(f.grid, 1.0, np.stack([f.data, g.data])))
     grid = pair.grid
-    sizes = _padded_sizes(grid, dealias)
+    sizes = _padded_sizes(grid)
     fv, gv = _pair_columns(pair.slice_field(0), pair.slice_field(1),
                            lambda data: _x_columns(grid, data, sizes))
     same = gv is fv
@@ -608,7 +598,7 @@ def gain_direct_oracle(
     return restrict_modes(embed_modes(q), f.grid.mode_counts)
 
 
-def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> PhaseField:
+def collide(f: PhaseField, quad: SphereQuadrature) -> PhaseField:
     """Full collision operator, gain minus loss, spectral path: the
     one-slice case of :func:`collide_trajectory`.
 
@@ -616,7 +606,7 @@ def collide(f: PhaseField, quad: SphereQuadrature, dealias: bool = True) -> Phas
     that gain and loss cancel exactly at xi = 0 (discrete mass
     conservation) for any weighting, including zeroed weights.
     """
-    q = _collide_stack(f.data[None], f.grid, quad, dealias, None)
+    q = _collide_stack(f.data[None], f.grid, quad, None)
     return PhaseField(f.grid, q[0])
 
 

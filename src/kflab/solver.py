@@ -79,7 +79,7 @@ class SolverConfig:
     cover [-2T, 2T]), sample spacing dt, which must divide T, sphere
     quadrature, Picard cap and tolerance.  The norm exponents ``params``
     follow from the grid dimension (default_params); products in x are
-    always dealiased."""
+    always formed on the 3/2-padded x-grid."""
 
     grid: GridSpec
     T: float
@@ -141,7 +141,9 @@ class IterationReport:
 
 def maxwellian_perturbed(grid: GridSpec, eps: float = 0.0, mode=None) -> PhaseField:
     """exp(-|v|^2) times (1 + eps cos(mode . x)); the unperturbed
-    Maxwellian is a collision equilibrium.  ``mode`` must have d entries,
+    Maxwellian is an equilibrium of the continuous collision operator,
+    and of the discrete one up to a residual that falls spectrally with
+    v_points (conventions.py; ROADMAP item 2).  ``mode`` must have d entries,
     each |m_a| < n_modes/2 (the +n_modes/2 slot has no stored partner);
     anything else is a ValueError."""
     if mode is not None:
@@ -177,7 +179,7 @@ def _picard_once(f0: PhaseField, config: SolverConfig, T: float, dt: float):
     del free
 
     report = IterationReport(t_final=T, realness_defect=conjugate_symmetry_defect(f0))
-    report.collision_x_sizes = list(_padded_sizes(g, True))
+    report.collision_x_sizes = list(_padded_sizes(g))
     cur = Trajectory(g, 2.0 * T, linear.copy())
     halve = None
     for k in range(config.max_picard):
@@ -306,7 +308,11 @@ def perturbation_experiment(
 ) -> ExperimentReport:
     """Data-to-solution continuity: solve from f0 and from f0 + delta*g
     for a fixed unit direction g, report sup_{|t|<=T} H^{s,r} distance
-    divided by delta across the ladder."""
+    divided by delta across the ladder.  A delta <= 0 is a ValueError,
+    raised before any solve."""
+    bad = [delta for delta in deltas if not delta > 0]
+    if bad:
+        raise ValueError(f"perturbation-check: deltas must be > 0, got {bad}")
     params = config.params
     report = ExperimentReport(
         experiment="perturbation-check",
@@ -333,9 +339,9 @@ def perturbation_experiment(
     return report.finish("ratio")
 
 
-def positivity_check(traj: Trajectory, threshold: float, t_limit) -> dict:
+def positivity_check(traj: Trajectory, threshold: float, t_limit: float) -> dict:
     """Minimum of the synthesized physical density over (t, x, v) at the
-    samples with |t| <= t_limit (all samples if t_limit is None); passes
+    samples with |t| <= t_limit (Trajectory.within); passes
     iff min >= -threshold.  Honest detector: negative lobes in the data
     are reported as failures."""
     worst = np.inf
@@ -352,9 +358,9 @@ def positivity_check(traj: Trajectory, threshold: float, t_limit) -> dict:
     }
 
 
-def conservation_drift(traj: Trajectory, t_limit) -> dict:
+def conservation_drift(traj: Trajectory, t_limit: float) -> dict:
     """Relative drift of total mass, momentum, and energy across the
-    samples with |t| <= t_limit (all samples if t_limit is None), from
+    samples with |t| <= t_limit (Trajectory.within), from
     x-integrated velocity moments."""
     g = traj.grid
     dxd = g.dx**g.d

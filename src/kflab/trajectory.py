@@ -70,11 +70,9 @@ class Trajectory:
     def slice_field(self, j: int) -> PhaseField:
         return PhaseField(self.grid, self.data[j])
 
-    def within(self, t_limit) -> np.ndarray:
-        """Indices of the samples with |t| <= t_limit (to rounding), every
-        index if t_limit is None: the window of an L2_T or sup_T norm."""
-        if t_limit is None:
-            return np.arange(self.n_samples)
+    def within(self, t_limit: float) -> np.ndarray:
+        """Indices of the samples with |t| <= t_limit (to rounding): the
+        window of an L2_T or sup_T norm; t_limit = t_half keeps them all."""
         return np.flatnonzero(np.abs(self.times) <= t_limit + 1e-12)
 
     def sup_l2(self) -> float:

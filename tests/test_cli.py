@@ -131,6 +131,23 @@ def test_missing_config_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("n_modes = 4\n", "no section headers"),
+    ("[solver]\nT = 0.0625\nT = 0.125\n", "already exists"),
+], ids=["no-section-header", "duplicate-key"])
+def test_unparsable_config_exit_1(text, reason, tmp_path, capsys):
+    # a file without a section header, or with a duplicated key, escaped
+    # as a configparser traceback
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"kflab: error: cannot parse config file {path}")
+    assert reason in err[0]
+    assert not out.exists()
+
+
 _ONE_CELL = ["Ns=1", "Ms=1", "Ks=1", "queries_per_cell=1"]
 
 
@@ -462,6 +479,38 @@ def test_slope_summaries_are_strict_json(tmp_path):
     out = tmp_path / "counting"
     assert run(["counting-check", "--out-dir", str(out)] + _ONE_CELL) == 0
     assert _strict_json(out / "counting_summary.json") == {"max_ratio_slope_vs_N": None}
+
+
+@pytest.mark.parametrize("experiment, argv", [
+    ("strichartz-scan", _TINY_RUNS["strichartz-scan"]),
+    ("counting-check", _ONE_CELL),
+])
+def test_skipped_slope_gate_warns(experiment, argv, tmp_path, capsys):
+    # one N value: no slope, so the gate is skipped with exit 0, and the
+    # skip is one warning line
+    assert run([experiment, "--out-dir", str(tmp_path)] + argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"kflab: warning: {experiment}: slope gate skipped: fewer than two N values"
+    ]
+    # two N values gate the slope and warn of nothing
+    argv = [a for a in argv if not a.startswith("Ns=")] + ["Ns=2,4", "slope_max=100"]
+    assert run([experiment, "--out-dir", str(tmp_path / "two")] + argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("deltas", ["0", "1e-2,-1e-3"])
+def test_perturbation_rejects_non_positive_delta(deltas, tmp_path, monkeypatch, capsys):
+    # deltas=0 ran the base solve and ended in a ZeroDivisionError; a
+    # negative delta exited 2.  Both are refused before any solve.
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(solver, "duhamel_picard", no_solve)
+    out = tmp_path / "out"
+    argv = ["perturbation-check", "--out-dir", str(out)] + _SOLVER_TINY + [f"deltas={deltas}"]
+    assert run(argv) == 1
+    assert "perturbation-check: deltas must be > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bilinear_unequal_k_lists_exit_1(tmp_path, capsys):

@@ -52,6 +52,16 @@ def test_sphere_quadrature_d3():
     assert np.allclose(quad.nodes[anti], -quad.nodes, atol=1e-12)
 
 
+@pytest.mark.parametrize("d, n_nodes", [(2, 8), (2, 16), (2, 32), (2, 64),
+                                        (3, 8), (3, 18), (3, 32)])
+def test_quadrature_weights_sum_to_sphere_area_exactly(d, n_nodes):
+    # loss_bobylev takes sphere_area(d) as its angular measure and collide
+    # the quadrature's total weight; on every shipped rule they are one
+    # float, so the two losses agree to the bit
+    weights = sphere_quadrature(d, n_nodes).weights
+    assert float(np.sum(weights)) == sphere_area(d)
+
+
 def test_gain_maxwellian_identity():
     # Q+(mu, mu) = |S^{d-1}| mu(v) (dv^d sum mu) by collision invariance
     g = _grid(v_points=32)
@@ -78,15 +88,18 @@ def test_loss_matches_physical_formula():
     rng = np.random.default_rng(1)
     f = PhaseField(g, rng.standard_normal(g.shape) + 0j)
     gg = PhaseField(g, rng.standard_normal(g.shape) + 0j)
-    loss = loss_bobylev(f, gg, dealias=False)
-    # physical side: |S^{d-1}| f(x,v) * (dv^d sum_u g(x,u)), pointwise in x
-    from kflab import x_analyze, x_synthesize
+    loss = loss_bobylev(f, gg)
+    # physical side: |S^{d-1}| f(x,v) * (dv^d sum_u g(x,u)), pointwise at
+    # the nodes of the collision's padded x-grid
+    from kflab.collision import _padded_sizes
+    from kflab.grid import _x_coeffs, _x_values
 
-    fx = x_synthesize(f)
-    gx = x_synthesize(gg)
+    sizes = _padded_sizes(g)
+    fx = _x_values(g, f.data, sizes)
+    gx = _x_values(g, gg.data, sizes)
     dens = g.dv**g.d * np.sum(gx, axis=(2, 3))
-    expected = x_analyze(g, sphere_area(2) * fx * dens[..., None, None])
-    defect = PhaseField(g, loss.data - expected.data)
+    expected = _x_coeffs(g, sphere_area(2) * fx * dens[..., None, None], sizes)
+    defect = PhaseField(g, loss.data - expected)
     assert defect.l2_norm() <= 1e-10 * max(1.0, loss.l2_norm())
 
 
@@ -106,8 +119,8 @@ def test_gain_matches_oracle():
     g = make_grid(d=2, n_modes=2, v_points=32, v_extent=6.0)
     f = _random_nonneg(g, 4)
     quad = sphere_quadrature(2, 64)
-    fast = gain_bobylev(f, f, quad, dealias=False)
-    slow = gain_direct_oracle(f, f, quad, dealias=False)
+    fast = gain_bobylev(f, f, quad)
+    slow = gain_direct_oracle(f, f, quad)
     diff = PhaseField(g, fast.data - slow.data)
     assert diff.l2_norm() / fast.l2_norm() <= 5e-2
 
@@ -134,7 +147,7 @@ def test_oracle_pairs_match_per_node_sum():
         h_star = (s_op @ hv).reshape(n_v, n_v, -1)
         out = out + w * g.dv**2 * np.einsum("vux,uvx->vx", f_star, h_star)
     expected = _x_from_columns(g, out, g.mode_counts)[0]
-    oracle = gain_direct_oracle(f, h, quad, dealias=False)
+    oracle = gain_direct_oracle(f, h, quad)
     assert _rel(oracle.data, expected) <= 1e-6
 
 
@@ -151,8 +164,8 @@ def _x_modes_field(grid, seed, axes):
     return f
 
 
-@pytest.mark.parametrize("f_axes, g_axes, nodes", [((0,), (0,), 8), ((0,), (), 8),
-                                                   ((0,), (1,), 64)],
+@pytest.mark.parametrize("f_axes, g_axes, nodes", [((0,), (0,), 12), ((0,), (), 12),
+                                                   ((0,), (1,), 144)],
                          ids=["x1-same", "x1-and-n0", "x1-and-x2"])
 def test_oracle_on_the_joint_support_matches_the_full_grid(f_axes, g_axes, nodes, monkeypatch):
     # the oracle runs on the joint x-support of f and g; with the support
@@ -174,12 +187,12 @@ def test_oracle_on_the_joint_support_matches_the_full_grid(f_axes, g_axes, nodes
         return cols
 
     monkeypatch.setattr(collision, "_x_columns", spy)
-    out = gain_direct_oracle(f, h, quad, dealias=False)
+    out = gain_direct_oracle(f, h, quad)
     assert out.grid == g and set(visited) == {nodes}
     monkeypatch.setattr(grid_module, "_mode_support", lambda grid, data: (grid.n_modes,) * 2)
     visited.clear()
-    ref = gain_direct_oracle(f, h, quad, dealias=False)
-    assert set(visited) == {64}
+    ref = gain_direct_oracle(f, h, quad)
+    assert set(visited) == {144}
     assert _rel(out.data, ref.data) <= 1e-6
 
 
@@ -187,7 +200,7 @@ def test_oracle_nonnegative_output():
     g = _grid(n_modes=2, v_points=16)
     f = _random_nonneg(g, 5)
     quad = sphere_quadrature(2, 8)
-    out = gain_direct_oracle(f, f, quad, dealias=False)
+    out = gain_direct_oracle(f, f, quad)
     from kflab import x_synthesize
 
     vals = x_synthesize(out)
@@ -232,8 +245,8 @@ def test_refinement_decreases_oracle_error():
     for v_points, quad in ((12, quad_lo), (24, quad_hi)):
         g = make_grid(d=2, n_modes=2, v_points=v_points, v_extent=6.0)
         f = _random_nonneg(g, 7)
-        fast = gain_bobylev(f, f, quad, dealias=False)
-        slow = gain_direct_oracle(f, f, quad, dealias=False)
+        fast = gain_bobylev(f, f, quad)
+        slow = gain_direct_oracle(f, f, quad)
         errs.append(
             PhaseField(g, fast.data - slow.data).l2_norm() / fast.l2_norm()
         )
@@ -331,7 +344,7 @@ def test_gain_columns_match_dense(d, v_points, n_nodes):
 
     g = make_grid(d=d, n_modes=2, v_points=v_points, v_extent=6.0)
     quad = sphere_quadrature(d, n_nodes)
-    sizes = _padded_sizes(g, True)
+    sizes = _padded_sizes(g)
     fc, gc = _mode_columns(g, 10), _mode_columns(g, 11)
     dense = _dense_mode_gain(g, quad, fc, gc, sizes)
     assert _rel(_gain_columns(g, quad, fc, gc, sizes), dense) <= 1e-13
@@ -376,10 +389,10 @@ def test_collide_matches_dense_gain():
 
     f = _random_nonneg(g, 14)
     quad = sphere_quadrature(2, 16)
-    sizes = _padded_sizes(g, True)
+    sizes = _padded_sizes(g)
     fv = _x_columns(g, f.data, sizes)
     gain = _x_from_columns(g, _dense_gain(g, quad, fv, fv), sizes)[0]
-    loss = loss_bobylev(f, f, area=float(np.sum(quad.weights)))
+    loss = loss_bobylev(f, f)
     assert _rel(collide(f, quad).data, gain - loss.data) <= 1e-13
 
 
@@ -403,7 +416,7 @@ def test_gain_columns_blocks_match_dense(d, v_points, n_nodes, monkeypatch):
                 mode_counts=None if d == 2 else (2, 1, 1))
     n_modes = int(np.prod(g.mode_counts))
     quad = sphere_quadrature(d, n_nodes)
-    sizes = collision._padded_sizes(g, True)
+    sizes = collision._padded_sizes(g)
     fc, gc = _mode_columns(g, 15, 5), _mode_columns(g, 16, 5)
     for block in (2 * n_modes + 3, n_modes - 1):
         monkeypatch.setattr(collision, "_GAIN_BLOCK", block)
@@ -469,7 +482,7 @@ def test_gain_cache_regimes_of_the_bench_grids():
     collision._MAT_CACHE.clear()
     assert collision._gain_cache_path(f0.grid, config.quad) == "miss"
     fc = collision._mode_columns(f0.grid, f0.data)
-    collision._gain_columns(f0.grid, config.quad, fc, fc, collision._padded_sizes(f0.grid, True))
+    collision._gain_columns(f0.grid, config.quad, fc, fc, collision._padded_sizes(f0.grid))
     assert collision._gain_cache_path(f0.grid, config.quad) == "hit"
 
 
@@ -478,7 +491,7 @@ def test_gain_cache_bypass_matches_cached(monkeypatch):
 
     g = make_grid(d=2, n_modes=2, v_points=16, v_extent=6.0)
     quad = sphere_quadrature(2, 16)
-    sizes = collision._padded_sizes(g, True)
+    sizes = collision._padded_sizes(g)
     # two blocks, of two slices and of one
     monkeypatch.setattr(collision, "_GAIN_BLOCK", 2 * g.n_modes**2)
     fc, gc = _mode_columns(g, 18, 3), _mode_columns(g, 19, 3)
@@ -507,7 +520,7 @@ def test_gain_angular_kernel_matches_dense(d, v_points, n_nodes):
     w = quad.weights
     # odd in omega, so antipodal nodes carry different weights
     assert np.max(np.abs(w - w[quad.antipode_map()])) > 0.5 * np.max(base.weights)
-    sizes = _padded_sizes(g, True)
+    sizes = _padded_sizes(g)
     fc, gc = _mode_columns(g, 20), _mode_columns(g, 21)
     for other in (gc, fc):
         assert _rel(_gain_columns(g, quad, fc, other, sizes),
@@ -524,13 +537,12 @@ def test_collide_trajectory_partial_mask_matches_per_slice():
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     active = np.array([True, False, True, True, False])
     q = collide_trajectory(stack, g, quad, active=active)
-    area = float(np.sum(quad.weights))
     for j in range(len(stack)):
         if not active[j]:
             assert not np.any(q[j])
             continue
         f = PhaseField(g, stack[j])
-        expected = gain_bobylev(f, f, quad).data - loss_bobylev(f, f, area=area).data
+        expected = gain_bobylev(f, f, quad).data - loss_bobylev(f, f).data
         assert _rel(q[j], expected) <= 1e-13
 
 
@@ -548,7 +560,7 @@ def _per_slice_x_work(stack, g, quad, active):
     )
 
     idx = np.flatnonzero(active)
-    sizes = _padded_sizes(g, True)
+    sizes = _padded_sizes(g)
     modes = np.concatenate([_mode_columns(g, stack[j]) for j in idx], axis=1)
     q_v = _gain_columns(g, quad, modes, modes, sizes)
     out = np.zeros_like(stack)
@@ -607,7 +619,7 @@ def _full_grid_collision(f, quad):
     from kflab.collision import _padded_sizes, _x_columns, _x_from_columns
 
     g = f.grid
-    sizes = _padded_sizes(g, True)
+    sizes = _padded_sizes(g)
     fv = _x_columns(g, f.data, sizes)
     gain = _dense_gain(g, quad, fv, fv)
     mass = g.dv**g.d * fv.sum(axis=0)
@@ -643,7 +655,7 @@ def test_collision_x_support_matches_full_grid(d, flat_axes, sizes):
     f = _x_invariant_case(d, flat_axes, 23)
     quad = sphere_quadrature(d, 16 if d == 2 else 8)
     sub = restrict_modes(f)
-    assert _padded_sizes(sub.grid, True) == sizes
+    assert _padded_sizes(sub.grid) == sizes
     gain_ref, q_ref = _full_grid_collision(f, quad)
     scale = np.max(np.abs(gain_ref))
     gain = embed_modes(gain_bobylev(sub, sub, quad)).data
@@ -663,7 +675,7 @@ def _spy_columns(monkeypatch):
 
     def spy(grid, quad, fc, gc, sizes):
         # stored-mode columns, and the padded x-grid of their grid
-        assert sizes == collision._padded_sizes(grid, True)
+        assert sizes == collision._padded_sizes(grid)
         counts.append(fc.shape[1])
         return gain_columns(grid, quad, fc, gc, sizes)
 
@@ -707,7 +719,7 @@ def test_d3_x1_data_collide_on_one_x_axis(monkeypatch):
     g = make_grid(d=3, n_modes=4, v_points=8, v_extent=6.0)
     f0 = restrict_modes(maxwellian_perturbed(g, eps=0.1, mode=(1, 0, 0)))
     assert f0.grid.mode_counts == (4, 1, 1)
-    assert _padded_sizes(f0.grid, True) == (6, 1, 1)
+    assert _padded_sizes(f0.grid) == (6, 1, 1)
     counts = _spy_columns(monkeypatch)
     collide(f0, sphere_quadrature(3, 8))
     assert counts == [4]
@@ -718,8 +730,7 @@ def test_d3_x1_data_collide_on_one_x_axis(monkeypatch):
 
 
 @pytest.mark.parametrize("counts", [None, (8, 1)], ids=["full", "support"])
-@pytest.mark.parametrize("dealias", [True, False])
-def test_gain_and_loss_are_bilinear_and_gain_symmetric(counts, dealias):
+def test_gain_and_loss_are_bilinear_and_gain_symmetric(counts):
     # Q+(f+h, f+h) expands into four terms, as does Q-; and for the
     # antipodally symmetric weights of sphere_quadrature xi+ and xi- swap
     # under omega -> -omega, so Q+(f, h) = Q+(h, f)
@@ -731,8 +742,8 @@ def test_gain_and_loss_are_bilinear_and_gain_symmetric(counts, dealias):
     f, h = (PhaseField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
             for _ in range(2))
     s = f + h
-    gain = lambda a, b: gain_bobylev(a, b, quad, dealias=dealias).data  # noqa: E731
-    loss = lambda a, b: loss_bobylev(a, b, dealias=dealias).data  # noqa: E731
+    gain = lambda a, b: gain_bobylev(a, b, quad).data  # noqa: E731
+    loss = lambda a, b: loss_bobylev(a, b).data  # noqa: E731
     for op in (gain, loss):
         terms = op(f, f) + op(h, h) + op(f, h) + op(h, f)
         assert _rel(op(s, s), terms) <= 1e-13

@@ -104,13 +104,13 @@ def test_x_padded_roundtrip(d):
     # stored modes, Nyquist slot included
     g = make_grid(d=d, n_modes=4, v_points=4, v_extent=2.0)
     fld = random_field(g, seed=10 + d)
-    for sizes in (g.mode_counts, _padded_sizes(g, True)):
+    for sizes in (g.mode_counts, _padded_sizes(g)):
         vals = _x_values(g, fld.data, sizes)
         assert vals.shape == sizes + (g.v_points,) * d
         back = _x_coeffs(g, vals, sizes)
         assert np.max(np.abs(back - fld.data)) <= 1e-14
     with pytest.raises(ValueError, match="does not match grid"):
-        x_analyze(g, _x_values(g, fld.data, _padded_sizes(g, True)))
+        x_analyze(g, _x_values(g, fld.data, _padded_sizes(g)))
 
 
 def _invariant_along(fld, axes):
@@ -147,12 +147,12 @@ def test_x_roundtrip_per_axis_sizes(d, sizes):
 
 
 @pytest.mark.parametrize("d, counts", [(2, None), (2, (8, 1)), (3, None), (3, (8, 1, 1))])
-@pytest.mark.parametrize("dealias", [True, False])
-def test_x_synthesis_matrices_match_x_values(d, counts, dealias):
+@pytest.mark.parametrize("padded", [True, False])
+def test_x_synthesis_matrices_match_x_values(d, counts, padded):
     # the per-axis matrices, applied one axis at a time, are _x_values:
     # the +n/2 Nyquist slot included, on full and support grids
     g = replace(make_grid(d=d, n_modes=8, v_points=4, v_extent=2.0), mode_counts=counts)
-    sizes = _padded_sizes(g, dealias)
+    sizes = _padded_sizes(g) if padded else g.mode_counts
     rng = np.random.default_rng(40 + d)
     shape = (3,) + g.shape
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -175,7 +175,7 @@ def test_x_synthesize_size_one_rejects_dropped_mode():
     fld = _invariant_along(random_field(g, seed=30), [1])
     sub = restrict_modes(fld, (4, 1))
     assert x_synthesize(sub).shape == (4, 1, 4, 4)
-    assert _x_values(sub.grid, sub.data, _padded_sizes(sub.grid, True)).shape == (6, 1, 4, 4)
+    assert _x_values(sub.grid, sub.data, _padded_sizes(sub.grid)).shape == (6, 1, 4, 4)
     fld.data[1, 3, 0, 0] = 1e-300
     for counts in ((4, 1), (1, 4)):
         with pytest.raises(ValueError, match="would drop nonzero modes"):

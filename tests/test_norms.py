@@ -292,7 +292,7 @@ def test_window_and_restricted_l2():
     # window |t| <= 0.3 keeps both
     traj = make_trajectory(_grid(), 0.9, 7)
     assert list(traj.within(0.3)) == [2, 3, 4]
-    assert list(traj.within(None)) == list(range(7))
+    assert list(traj.within(traj.t_half)) == list(range(7))
     # trapezoid over the kept run: ends weigh dt/2
     assert _trapz_l2([1.0, 4.0, 1.0], 0.5) == pytest.approx(np.sqrt(0.25 + 2.0 + 0.25))
     # b4 of linear_xsb_checks: the L2_t H^{0,0} norm of a trajectory is its

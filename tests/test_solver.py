@@ -150,7 +150,7 @@ def test_positivity_maxwellian_and_detector():
     g = _grid()
     bad = maxwellian_perturbed(g, eps=3.0, mode=(1, 0))
     bad_traj = sample_free_evolution(bad, 0.1, 5)
-    bad_res = positivity_check(bad_traj, threshold=1e-6, t_limit=None)
+    bad_res = positivity_check(bad_traj, threshold=1e-6, t_limit=bad_traj.t_half)
     assert not bad_res["passed"]
     assert bad_res["min_value"] < -0.1
 
@@ -159,7 +159,7 @@ def test_positivity_zero_data():
     g = _grid()
     f0 = PhaseField(g, np.zeros(g.shape, dtype=np.complex128))
     traj = sample_free_evolution(f0, 0.1, 5)
-    assert positivity_check(traj, threshold=1e-6, t_limit=None)["min_value"] == 0.0
+    assert positivity_check(traj, threshold=1e-6, t_limit=traj.t_half)["min_value"] == 0.0
 
 
 def test_conservation_drift():
